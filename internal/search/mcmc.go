@@ -305,6 +305,7 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 		best.SimStats.DeltaSims += r.SimStats.DeltaSims
 		best.SimStats.SuffixTasks += r.SimStats.SuffixTasks
 		best.SimStats.Fallbacks += r.SimStats.Fallbacks
+		best.SimStats.Rebases += r.SimStats.Rebases
 		if r.BestCost < best.BestCost {
 			best.Best, best.BestCost = r.Best, r.BestCost
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"flexflow/internal/config"
 	"flexflow/internal/device"
@@ -107,5 +108,81 @@ func TestRecycledSlotCrossesCut(t *testing.T) {
 	}
 	if st.Stats.Fallbacks != 0 {
 		t.Fatalf("unexpected fallback: %+v", st.Stats)
+	}
+}
+
+// TestStaleReadyRecomputedOnRelease constructs the case the release-time
+// ready accumulation cannot handle on its own: an input whose end was
+// already folded into a pending successor's ready is re-evaluated to a
+// different end before the successor's last input resolves. A max
+// cannot be undone, so the successor must be marked stale and its ready
+// recomputed from its inputs on release. On the Figure 5 graph, t5:1
+// waits on c3:1 and c3:2; c3:1's end is folded in at a wrong (later)
+// value, then c3:1 is re-evaluated back to its true end while t5:1
+// still waits on c3:2.
+func TestStaleReadyRecomputedOnRelease(t *testing.T) {
+	tg, tasks := figure5(t)
+	st := NewState(tg)
+	want := st.Simulate()
+	wantTimes := timesSnapshot(st)
+	a, b, succ := int32(tasks["c3:1"].Slot), int32(tasks["c3:2"].Slot), int32(tasks["t5:1"].Slot)
+	trueReady, _ := st.settled(succ)
+
+	wrong := st.rd(a).end + 10*time.Second
+	st.wr(a).end = wrong
+	st.wr(b).done = false
+	s := st.wr(succ)
+	s.done, s.pending, s.ready = false, 1, wrong
+	st.pq.reset()
+
+	st.evaluate(a) // a re-evaluation: !first, end moves back
+	if s := st.rd(succ); !s.stale || s.queued {
+		t.Fatalf("after re-evaluating c3:1: stale=%v queued=%v, want a stale, unreleased t5:1", s.stale, s.queued)
+	}
+	st.evaluate(b) // t5:1's last pending input resolves
+	if s := st.rd(succ); s.stale || !s.queued || s.ready != trueReady {
+		t.Fatalf("on release: stale=%v queued=%v ready=%v, want ready recomputed to %v", s.stale, s.queued, s.ready, trueReady)
+	}
+	if !st.run(st.budget()) {
+		t.Fatal("fixpoint exceeded its budget")
+	}
+	st.finish()
+	if st.Makespan != want || !timesEqual(timesSnapshot(st), wantTimes) {
+		t.Fatalf("repaired timeline differs from the full simulation (makespan %v, want %v)", st.Makespan, want)
+	}
+}
+
+// TestMovedTaskRebasesQueue constructs the one known source of a
+// non-monotone push: a task whose ready time grows moves later in its
+// resource order, and removeFromOrder re-queues the device successor
+// that slid into its old position at that successor's own, earlier
+// ready. The push falls below the last popped ready, so the work queue
+// must re-base (counted in Stats.Rebases) and still pop that successor
+// first.
+func TestMovedTaskRebasesQueue(t *testing.T) {
+	tg, tasks := figure5(t)
+	st := NewState(tg)
+	st.Simulate()
+	// GPU0 runs t1:1, t1:2, t2:1, t2:2, all ready at 0. Make t1:1 ready
+	// at 3s and pop it, as the fixpoint loop would.
+	moved, next := int32(tasks["t1:1"].Slot), int32(tasks["t1:2"].Slot)
+	st.pq.reset()
+	st.wr(moved).ready = 3 * time.Second
+	st.push(moved)
+	if it := st.pq.pop(); it.slot != moved {
+		t.Fatalf("popped slot %d, want t1:1", it.slot)
+	}
+	st.wr(moved).queued = false
+	rebases := st.Stats.Rebases
+
+	st.evaluate(moved)
+	if got := st.Stats.Rebases - rebases; got != 1 {
+		t.Fatalf("Rebases grew by %d, want 1", got)
+	}
+	if it := st.pq.pop(); it.slot != next || it.ready != 0 {
+		t.Fatalf("first pop after the re-base: %+v, want t1:2 at ready 0", it)
+	}
+	if pos := st.rd(moved).pos; pos != 3 {
+		t.Fatalf("t1:1 at position %d of GPU0, want last (3)", pos)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -110,12 +111,96 @@ func TestDeltaEqualsFullProperty(t *testing.T) {
 	}
 }
 
+// checkedDelta applies one ChangeSet through ApplyDelta and checks the
+// result two ways. The incremental timeline — makespan and every live
+// task's (ready, start, end) — must be bit-identical to a full Simulate
+// of the same graph. And the delta must not be over-conservative: the
+// suffix it evaluated may not exceed impliedSuffix, the suffix the true
+// change point implies.
+func checkedDelta(t *testing.T, st *State, cs taskgraph.ChangeSet, what string) {
+	t.Helper()
+	tg := st.TG
+	ref := NewState(tg)
+	want := ref.Simulate()
+	bound := impliedSuffix(st, cs, ref)
+	before := st.Stats.SuffixTasks
+	if got := st.ApplyDelta(cs); got != want {
+		t.Fatalf("%s: delta makespan %v != full %v", what, got, want)
+	}
+	for _, task := range tg.Tasks {
+		if !tg.Live(task) {
+			continue
+		}
+		gr, gs, ge := st.Times(task)
+		wr, ws, we := ref.Times(task)
+		if gr != wr || gs != ws || ge != we {
+			t.Fatalf("%s: task %d times (%v,%v,%v) != full (%v,%v,%v)",
+				what, task.ID, gr, gs, ge, wr, ws, we)
+		}
+	}
+	if n := st.Stats.SuffixTasks - before; n > bound {
+		t.Fatalf("%s: ApplyDelta evaluated %d suffix tasks; the change point implies at most %d (T0 bound over-conservative)",
+			what, n, bound)
+	}
+}
+
+// impliedSuffix is the over-conservatism guard's yardstick: the suffix
+// size ApplyDelta's truncation would evaluate at the true change point.
+// That point is the earliest of the removed tasks' old starts, the added
+// tasks' new ready times, and the touched tasks' new ready times and old
+// starts — no schedule difference can come earlier. Old values come
+// from st, which must not have applied cs yet; new ones from full, a
+// full simulation of the changed graph. The count mirrors ApplyDelta's:
+// the live entries of every old timeline's truncated suffix plus the
+// added tasks.
+func impliedSuffix(st *State, cs taskgraph.ChangeSet, full *State) int64 {
+	const inf = time.Duration(1<<63 - 1)
+	t0 := inf
+	early := func(d time.Duration) {
+		if d < t0 {
+			t0 = d
+		}
+	}
+	for _, task := range cs.Removed {
+		_, start, _ := st.Times(task)
+		early(start)
+	}
+	for _, task := range cs.Added {
+		ready, _, _ := full.Times(task)
+		early(ready)
+	}
+	for _, task := range cs.Touched {
+		ready, _, _ := full.Times(task)
+		_, start, _ := st.Times(task)
+		early(ready)
+		early(start)
+	}
+	if t0 == inf {
+		return 0
+	}
+	a := st.TG.Adj()
+	n := int64(len(cs.Added))
+	for _, order := range st.res {
+		for i := len(order) - 1; i >= 0; i-- {
+			e := order[i]
+			if a.ID[e.slot] != e.id {
+				continue // removed: part of the suffix, not counted
+			}
+			if ts := st.rd(e.slot); ts.end <= t0 && ts.start < t0 {
+				break
+			}
+			n++
+		}
+	}
+	return n
+}
+
 // scalePropertyRun drives the synthetic-model delta/full differential
 // shared by the TestScaleProperty* suite: a random mutate/revert walk on
-// one model, asserting after every ApplyDelta that the incremental
-// timeline — makespan and every live task's (ready, start, end) — is
-// bit-identical to a full Simulate of the same graph. Reverts go through
-// the same ReplaceConfig+ApplyDelta path the MCMC rejection step uses.
+// one model, passing every ApplyDelta through checkedDelta (bit-identical
+// to a full Simulate, and no more suffix than the true change point
+// implies). Reverts go through the same ReplaceConfig+ApplyDelta path
+// the MCMC rejection step uses.
 func scalePropertyRun(t *testing.T, model string, seed int64, steps int) {
 	t.Helper()
 	spec, err := models.Get(model)
@@ -129,30 +214,13 @@ func scalePropertyRun(t *testing.T, model string, seed int64, steps int) {
 	st := NewState(tg)
 	st.Simulate()
 	ops := g.ComputeOps()
-	check := func(step int, got time.Duration) {
-		ref := NewState(tg)
-		want := ref.Simulate()
-		if got != want {
-			t.Fatalf("%s seed %d step %d: delta makespan %v != full %v", model, seed, step, got, want)
-		}
-		for _, task := range tg.Tasks {
-			if !tg.Live(task) {
-				continue
-			}
-			gr, gs, ge := st.Times(task)
-			wr, ws, we := ref.Times(task)
-			if gr != wr || gs != ws || ge != we {
-				t.Fatalf("%s seed %d step %d: task %d times (%v,%v,%v) != full (%v,%v,%v)",
-					model, seed, step, task.ID, gr, gs, ge, wr, ws, we)
-			}
-		}
-	}
 	for step := 0; step < steps; step++ {
 		op := ops[rng.Intn(len(ops))]
 		old := tg.Strat.Config(op.ID).Clone()
-		check(step, st.ApplyDelta(tg.ReplaceConfig(op.ID, config.RandomConfig(op, topo, rng))))
+		what := fmt.Sprintf("%s seed %d step %d", model, seed, step)
+		checkedDelta(t, st, tg.ReplaceConfig(op.ID, config.RandomConfig(op, topo, rng)), what)
 		if rng.Intn(2) == 0 {
-			check(step, st.ApplyDelta(tg.ReplaceConfig(op.ID, old)))
+			checkedDelta(t, st, tg.ReplaceConfig(op.ID, old), what+" revert")
 		}
 	}
 	if st.Stats.Fallbacks != 0 {
@@ -222,31 +290,14 @@ func scaleLocalityPropertyRun(t *testing.T, model string, seed int64, steps int)
 		return ops[i]
 	}
 
-	check := func(step int, got time.Duration) {
-		ref := NewState(tg)
-		want := ref.Simulate()
-		if got != want {
-			t.Fatalf("%s seed %d step %d: delta makespan %v != full %v", model, seed, step, got, want)
-		}
-		for _, task := range tg.Tasks {
-			if !tg.Live(task) {
-				continue
-			}
-			gr, gs, ge := st.Times(task)
-			wr, ws, we := ref.Times(task)
-			if gr != wr || gs != ws || ge != we {
-				t.Fatalf("%s seed %d step %d: task %d times (%v,%v,%v) != full (%v,%v,%v)",
-					model, seed, step, task.ID, gr, gs, ge, wr, ws, we)
-			}
-		}
-	}
 	suffixBefore := st.Stats.SuffixTasks
 	for step := 0; step < steps; step++ {
 		op := draw()
 		old := tg.Strat.Config(op.ID).Clone()
-		check(step, st.ApplyDelta(tg.ReplaceConfig(op.ID, config.RandomConfig(op, topo, rng))))
+		what := fmt.Sprintf("%s seed %d step %d", model, seed, step)
+		checkedDelta(t, st, tg.ReplaceConfig(op.ID, config.RandomConfig(op, topo, rng)), what)
 		if rng.Intn(2) == 0 {
-			check(step, st.ApplyDelta(tg.ReplaceConfig(op.ID, old)))
+			checkedDelta(t, st, tg.ReplaceConfig(op.ID, old), what+" revert")
 		}
 	}
 	if st.Stats.Fallbacks != 0 {

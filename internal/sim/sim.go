@@ -41,7 +41,7 @@
 //
 // The task graph is structure, the State is state: Simulate and
 // ApplyDelta never write into tasks — every mutable value (ready/start/
-// end times, per-resource timelines, scheduling scratch, the work heap)
+// end times, per-resource timelines, scheduling scratch, the work queue)
 // lives in the State's own pages, indexed by Task.Slot. A frozen
 // taskgraph.Plan base can therefore be simulated by any number of
 // goroutines concurrently, each with its own State.
@@ -63,6 +63,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -87,6 +88,11 @@ type tstate struct {
 	// done marks tasks that have been evaluated at least once.
 	done   bool
 	queued bool
+	// stale marks a pending task whose ready — accumulated as the max
+	// end of its inputs as they are first evaluated — missed a later
+	// change to one of those ends; it is recomputed from the inputs on
+	// release.
+	stale bool
 }
 
 // Timing pages: slot s lives in pages[s>>pageShift][s&pageMask]. 512
@@ -128,7 +134,7 @@ type State struct {
 	FixpointBudget int
 
 	adj *taskgraph.Adj
-	pq  workHeap
+	pq  workQueue
 
 	// pages is the paged per-slot timing store; pageOwned tracks
 	// copy-on-write ownership per page (nil means the state owns every
@@ -142,6 +148,10 @@ type State struct {
 	pageOwned []bool
 	resOwned  []bool
 	sealed    atomic.Bool
+	// unowned counts the false entries of pageOwned. When the last
+	// shared page faults private the table is dropped (nil), so wr
+	// skips the ownership check until the next seal.
+	unowned int
 
 	scratch []int32 // reused affected-slot buffer for ApplyDelta
 }
@@ -164,6 +174,11 @@ type Stats struct {
 	// Fallbacks counts delta simulations that exceeded the fixpoint
 	// budget and were redone from scratch (should stay at/near zero).
 	Fallbacks int
+	// Rebases counts work-queue pushes below the queue's floor (the last
+	// popped ready time), each of which re-placed the whole queue (see
+	// workQueue). Zero on every measured workload; a growing count means
+	// the monotone queue is paying O(queue) per push there.
+	Rebases int64
 }
 
 // NewState creates a simulation state for the task graph. Call Simulate
@@ -214,6 +229,9 @@ func (s *State) faultPage(p int32) {
 	fresh := *s.pages[p]
 	s.pages[p] = &fresh
 	s.pageOwned[p] = true
+	if s.unowned--; s.unowned == 0 {
+		s.pageOwned = nil
+	}
 }
 
 // orderW returns a resource's execution order for in-place writing,
@@ -241,6 +259,7 @@ func (s *State) privatize() {
 	} else {
 		clear(s.pageOwned)
 	}
+	s.unowned = len(s.pages)
 	if s.resOwned == nil {
 		s.resOwned = make([]bool, len(s.res))
 	} else {
@@ -278,6 +297,7 @@ func (s *State) CloneFor(tg *taskgraph.TaskGraph) *State {
 		adj:        tg.Adj(),
 		pages:      append([]*[pageSize]tstate(nil), s.pages...),
 		pageOwned:  make([]bool, len(s.pages)),
+		unowned:    len(s.pages),
 	}
 	for r, order := range s.res {
 		out.res[r] = order[:len(order):len(order)]
@@ -369,77 +389,132 @@ type workItem struct {
 	id, slot int32
 }
 
-// workHeap is a hand-rolled 4-ary min-heap over (ready, id). It avoids
-// container/heap's per-Push interface boxing (one allocation per push —
-// formerly the delta hot path's dominant allocator) and its virtual
-// Less/Swap calls, and the wider fan-out halves the sift depth of the
-// pop-heavy fixpoint loop. Pop order is implementation-independent:
-// per-slot key dedup guarantees one entry per (slot, ready) and ids are
-// unique, so the comparator is a total order and any correct priority
-// queue yields the identical deterministic schedule.
-type workHeap []workItem
-
-func itemLess(a, b workItem) bool {
-	if a.ready != b.ready {
-		return a.ready < b.ready
-	}
-	return a.id < b.id
+// workQueue is a monotone radix queue over (ready, id) — the fixpoint
+// loop's priority queue. The loop pops items in non-decreasing ready
+// order and almost every push is at or above the last popped ready
+// (a released successor is ready no earlier than its input's end, a
+// device successor no earlier than its predecessor in the (ready, id)
+// order), so items are bucketed by how far their ready lies above that
+// floor: bucket bits.Len64(ready^last) holds the items whose highest
+// bit differing from last is bucket-1, and a bitmap marks the
+// non-empty buckets. A pop from an empty bucket 0 finds the lowest
+// non-empty bucket in one bit scan, moves last up to its minimum and
+// re-places its items, all of which land in lower buckets — each item
+// moves at most 63 times, in practice a few, against the log-depth
+// sifts of a heap. Bucket 0 holds the items with ready == last, kept
+// sorted by id, so pops follow the (ready, id) total order exactly and
+// the schedule is the one any correct priority queue would produce.
+//
+// Monotonicity is an observation, not an invariant: when a task moves
+// later in its resource order, removeFromOrder re-queues the device
+// successor that slid into its old position at that successor's
+// earlier ready. A push below last therefore re-bases the queue —
+// every queued item is re-placed against the new floor, which is
+// exact and O(queue length) — and is counted in Stats.Rebases, so a
+// workload that breaks monotonicity shows up as a count, not only as
+// lost time.
+type workQueue struct {
+	last time.Duration
+	// mask bit i marks buckets[i] non-empty, for i >= 1; bucket 0 is
+	// buckets[0][head:], sorted by id.
+	mask    uint64
+	head    int
+	buckets [64][]workItem
+	spill   []workItem // re-base scratch
 }
 
-// push sifts up by hole percolation: the new item is held aside and
-// displaced parents slide down into the hole, halving the writes of a
-// swap-based sift.
-func (h *workHeap) push(it workItem) {
-	q := append(*h, it)
-	*h = q
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !itemLess(it, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = it
+func (q *workQueue) empty() bool {
+	return q.mask == 0 && q.head == len(q.buckets[0])
 }
 
-// pop sifts down the same way: the displaced last item is held aside
-// and the smallest child slides up into the hole at each level.
-func (h *workHeap) pop() workItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
+// reset empties the queue and drops its floor to zero.
+func (q *workQueue) reset() {
+	q.buckets[0], q.head = q.buckets[0][:0], 0
+	for m := q.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		q.buckets[i] = q.buckets[i][:0]
 	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+	q.mask, q.last = 0, 0
+}
+
+// place files an item with ready >= last into its bucket.
+func (q *workQueue) place(it workItem) {
+	i := bits.Len64(uint64(it.ready ^ q.last))
+	if i > 0 {
+		q.buckets[i] = append(q.buckets[i], it)
+		q.mask |= 1 << i
+		return
+	}
+	// Equal ready: keep bucket 0 sorted by id. Ids mostly arrive in
+	// increasing order, so the append is the common case.
+	b := q.buckets[0]
+	n := len(b)
+	if n == q.head || b[n-1].id < it.id {
+		q.buckets[0] = append(b, it)
+		return
+	}
+	lo, hi := q.head, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b[mid].id < it.id {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		m := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if itemLess(q[j], q[m]) {
-				m = j
+	}
+	b = append(b, workItem{})
+	copy(b[lo+1:], b[lo:])
+	b[lo] = it
+	q.buckets[0] = b
+}
+
+// push queues an item, reporting whether it fell below the floor and
+// forced a re-base.
+func (q *workQueue) push(it workItem) (rebased bool) {
+	if it.ready >= q.last {
+		q.place(it)
+		return false
+	}
+	spill := append(q.spill[:0], q.buckets[0][q.head:]...)
+	for m := q.mask; m != 0; m &= m - 1 {
+		spill = append(spill, q.buckets[bits.TrailingZeros64(m)]...)
+	}
+	q.reset()
+	q.last = it.ready
+	q.place(it)
+	for _, x := range spill {
+		q.place(x)
+	}
+	q.spill = spill
+	return true
+}
+
+// pop removes and returns the (ready, id)-minimal item; the queue must
+// not be empty.
+func (q *workQueue) pop() workItem {
+	if q.head == len(q.buckets[0]) {
+		q.buckets[0], q.head = q.buckets[0][:0], 0
+		i := bits.TrailingZeros64(q.mask)
+		src := q.buckets[i]
+		m := src[0].ready
+		for _, it := range src[1:] {
+			if it.ready < m {
+				m = it.ready
 			}
 		}
-		if !itemLess(q[m], last) {
-			break
+		// Every item of bucket i agrees with the new floor above bit
+		// i-1, so re-placing lands them all in lower buckets and never
+		// appends to src while it is being read.
+		q.last = m
+		q.buckets[i] = src[:0]
+		q.mask &^= 1 << i
+		for _, it := range src {
+			q.place(it)
 		}
-		q[i] = q[m]
-		i = m
 	}
-	q[i] = last
-	return top
+	it := q.buckets[0][q.head]
+	q.head++
+	return it
 }
 
 func (s *State) push(slot int32) {
@@ -449,7 +524,9 @@ func (s *State) push(slot int32) {
 	}
 	st.queued = true
 	st.key = st.ready
-	s.pq.push(workItem{ready: st.ready, id: s.adj.ID[slot], slot: slot})
+	if s.pq.push(workItem{ready: st.ready, id: s.adj.ID[slot], slot: slot}) {
+		s.Stats.Rebases++
+	}
 }
 
 // Simulate runs the full simulation algorithm: it clears all timing
@@ -464,24 +541,23 @@ func (s *State) Simulate() time.Duration {
 	s.ensure()
 	// A full rebuild overwrites every live slot and every timeline, so
 	// shared pages are replaced with fresh zero pages (no copy) and
-	// shared timeline rows are dropped rather than copied.
-	if s.pageOwned != nil {
-		for p, owned := range s.pageOwned {
-			if !owned {
-				s.pages[p] = new([pageSize]tstate)
-				s.pageOwned[p] = true
-			}
+	// shared timeline rows are dropped rather than copied. Everything is
+	// then owned, so the ownership tables go until the next seal.
+	for p, owned := range s.pageOwned {
+		if !owned {
+			s.pages[p] = new([pageSize]tstate)
 		}
 	}
+	s.pageOwned, s.unowned = nil, 0
 	for i := range s.res {
 		if s.resOwned != nil && !s.resOwned[i] {
 			s.res[i] = nil
-			s.resOwned[i] = true
 		} else {
 			s.res[i] = s.res[i][:0]
 		}
 	}
-	s.pq = s.pq[:0]
+	s.resOwned = nil
+	s.pq.reset()
 	a := s.adj
 	for slot := range a.ID {
 		if a.ID[slot] < 0 {
@@ -509,12 +585,24 @@ func (s *State) Simulate() time.Duration {
 // The affected portion is bounded in *time*: no removed task started and
 // no added/touched task becomes ready before the earliest change point
 // T0, and along any FIFO resource timeline start/end times are monotone,
-// so every task completing by T0 keeps its exact slot. The engine
+// so every task completing by T0 keeps its exact slot. T0 is the
+// earliest of the removed tasks' starts, the added chain heads' ready
+// times and the touched tasks' starts and ready times. A touched task's
+// ready term counts only when all its inputs are done: one fed by an
+// added task is ready no earlier than some added chain head, which
+// already bounds T0 (the added input's end has just been reset to 0,
+// and reading it would pin T0 to the head of the timeline). The engine
 // truncates each timeline at T0 and re-schedules only the suffixes plus
 // the added tasks, evaluating each affected task once (plus tie
 // repairs). If the fixpoint exceeds its budget (differential tests show
 // it does not), it falls back to a full simulation, so the result is
 // always exact.
+//
+// An affected task's ready time is accumulated rather than re-read at
+// release: the pending-count pass seeds it with the latest end among
+// its inputs that are already done, and evaluate raises it as each
+// remaining input is first evaluated (see tstate.stale for the one case
+// that falls back to re-reading the inputs).
 //
 // Truncation resets a task's scheduling state but keeps its previous
 // ready/start/end values: when the re-evaluation converges to the same
@@ -537,7 +625,7 @@ func (s *State) ApplyDelta(cs taskgraph.ChangeSet) time.Duration {
 	s.Stats.DeltaSims++
 	s.privatize()
 	s.ensure()
-	s.pq = s.pq[:0]
+	s.pq.reset()
 	a := s.adj
 	const inf = time.Duration(1<<63 - 1)
 	t0 := inf
@@ -555,24 +643,17 @@ func (s *State) ApplyDelta(cs taskgraph.ChangeSet) time.Duration {
 		// Chain heads (all predecessors already scheduled) bound the
 		// earliest time an added task can perturb the schedule; deeper
 		// added tasks are covered transitively.
-		head := true
-		for _, p := range a.In[t.Slot] {
-			if !s.rd(p).done {
-				head = false
-				break
-			}
-		}
-		if head {
-			if r := s.computeReady(int32(t.Slot)); r < t0 {
-				t0 = r
-			}
+		if r, n := s.settled(int32(t.Slot)); n == 0 && r < t0 {
+			t0 = r
 		}
 	}
 	for _, t := range cs.Touched {
 		if st := s.rd(int32(t.Slot)); st.start < t0 {
 			t0 = st.start
 		}
-		if r := s.computeReady(int32(t.Slot)); r < t0 {
+		// The ready term only counts with every input done (see the
+		// ApplyDelta doc comment).
+		if r, n := s.settled(int32(t.Slot)); n == 0 && r < t0 {
 			t0 = r
 		}
 	}
@@ -628,21 +709,14 @@ func (s *State) ApplyDelta(cs taskgraph.ChangeSet) time.Duration {
 	s.scratch = affected
 	s.Stats.SuffixTasks += int64(len(affected))
 
-	// Pending counts over the affected set; seeds are tasks whose every
-	// live predecessor already has a final end time.
+	// Pending counts over the affected set, with ready seeded from the
+	// inputs that are already done (evaluate folds in the rest as they
+	// resolve); seeds are tasks whose every input is done.
 	for _, slot := range affected {
-		n := int32(0)
-		for _, p := range a.In[slot] {
-			if !s.rd(p).done {
-				n++
-			}
-		}
-		s.wr(slot).pending = n
-	}
-	for _, slot := range affected {
+		r, n := s.settled(slot)
 		st := s.wr(slot)
-		if st.pending == 0 {
-			st.ready = s.computeReady(slot)
+		st.ready, st.pending, st.stale = r, n, false
+		if n == 0 {
 			s.push(slot)
 		}
 	}
@@ -671,18 +745,20 @@ func (s *State) budget() int64 {
 	return 200*n + 10000
 }
 
-// computeReady recomputes a task's ready time from its predecessors'
-// current end times (unscheduled predecessors contribute zero and will
-// re-trigger the task when they complete). Adjacency rows hold live
-// tasks only, so no dead checks are needed.
-func (s *State) computeReady(slot int32) time.Duration {
-	var r time.Duration
+// settled returns the latest end among a task's done inputs and the
+// number of inputs not done yet; with none pending, ready is the task's
+// ready time (inputs not yet done will re-trigger the task when they
+// complete). Adjacency rows hold live tasks only, so no dead checks are
+// needed.
+func (s *State) settled(slot int32) (ready time.Duration, pending int32) {
 	for _, p := range s.adj.In[slot] {
-		if e := s.rd(p).end; e > r {
-			r = e
+		if ps := s.rd(p); !ps.done {
+			pending++
+		} else if ps.end > ready {
+			ready = ps.end
 		}
 	}
-	return r
+	return ready, pending
 }
 
 // run drains the work queue until fixpoint, processing tasks in
@@ -690,7 +766,7 @@ func (s *State) computeReady(slot int32) time.Duration {
 // partial work is still counted in Stats.Pops either way.
 func (s *State) run(budget int64) bool {
 	pops := int64(0)
-	for len(s.pq) > 0 {
+	for !s.pq.empty() {
 		it := s.pq.pop()
 		if s.adj.ID[it.slot] != it.id {
 			continue // task removed since it was queued
@@ -768,16 +844,25 @@ func (s *State) evaluate(slot int32) {
 		if !ss.done {
 			if first {
 				// Our first evaluation releases one of succ's pending
-				// inputs; succ enters the queue when the last one
-				// resolves.
+				// inputs and folds our end into its ready time; succ
+				// enters the queue when the last one resolves.
 				ss.pending--
+				if end > ss.ready {
+					ss.ready = end
+				}
+			} else {
+				// We moved an end succ's ready already saw (a max that
+				// cannot be undone): recompute it from the inputs on
+				// release, or right away if succ is already queued.
+				ss.stale = true
 			}
 			if ss.pending > 0 {
-				// Still waiting on other inputs; it will read our final
-				// end time when it is released.
 				continue
 			}
-			ss.ready = s.computeReady(succ)
+			if ss.stale {
+				ss.ready, _ = s.settled(succ)
+				ss.stale = false
+			}
 			s.push(succ)
 			continue
 		}
@@ -788,7 +873,7 @@ func (s *State) evaluate(slot int32) {
 		if !changed {
 			continue
 		}
-		if r := s.computeReady(succ); r != ss.ready {
+		if r, _ := s.settled(succ); r != ss.ready {
 			ss.ready = r
 			s.push(succ)
 		}
