@@ -5,13 +5,16 @@ import (
 	"sync"
 )
 
-// lruCache is the strategy cache: fingerprint -> finished optimize
-// response, bounded by entry count with least-recently-used eviction.
-// Entries are small (a strategy JSON plus counters), so a count bound
-// is an adequate proxy for memory. Only complete, deterministic
-// results are stored (see Server.run), which is what entitles a hit to
-// stand in for a re-run.
-type lruCache struct {
+// lruCache is a string-keyed map bounded by entry count with
+// least-recently-used eviction. The server keeps two: the strategy
+// cache (fingerprint -> the rendered body of a cache hit) and the
+// graph memo (graph source -> that graph's share of the fingerprint).
+// Entries of both are small (a compact strategy JSON plus counters, or
+// a hash state), so a count bound is an adequate proxy for memory.
+// Only complete, deterministic results are stored in the strategy
+// cache (see Server.run), which is what entitles a hit to stand in for
+// a re-run.
+type lruCache[V any] struct {
 	mu    sync.Mutex
 	max   int
 	ll    *list.List // front = most recently used
@@ -19,48 +22,49 @@ type lruCache struct {
 }
 
 // lruEntry is one cache slot.
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key string
-	val optimizeResponse
+	val V
 }
 
 // newLRUCache builds a cache bounded to max entries (max >= 1).
-func newLRUCache(max int) *lruCache {
-	return &lruCache{max: max, ll: list.New(), items: map[string]*list.Element{}}
+func newLRUCache[V any](max int) *lruCache[V] {
+	return &lruCache[V]{max: max, ll: list.New(), items: map[string]*list.Element{}}
 }
 
-// get returns the cached response for key and marks it recently used.
-func (c *lruCache) get(key string) (optimizeResponse, bool) {
+// get returns the value stored under key and marks it recently used.
+func (c *lruCache[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return optimizeResponse{}, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores a response under key, evicting the least recently used
-// entry beyond the bound.
-func (c *lruCache) put(key string, val optimizeResponse) {
+// put stores val under key, evicting the least recently used entry
+// beyond the bound.
+func (c *lruCache[V]) put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = val
+		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
 	if c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
 	}
 }
 
 // len reports the current entry count.
-func (c *lruCache) len() int {
+func (c *lruCache[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -20,6 +20,13 @@ type metrics struct {
 	// no_cache, or uncacheable ones, perform no lookup).
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	// memoHits / memoMisses count graph-memo lookups (a hit skips the
+	// graph build and walk; requests with an initial strategy, and
+	// every request when caching is disabled, perform no lookup).
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
+	// jobPanics counts searches that panicked (and answered 500).
+	jobPanics atomic.Int64
 	// proposals and searchNS accumulate every finished search's work;
 	// their ratio is the served proposal throughput.
 	proposals atomic.Int64
@@ -45,6 +52,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "flexflowd_cache_hits_total %d\n", s.met.cacheHits.Load())
 	fmt.Fprintf(w, "flexflowd_cache_misses_total %d\n", s.met.cacheMisses.Load())
 	fmt.Fprintf(w, "flexflowd_cache_entries %d\n", entries)
+	fmt.Fprintf(w, "flexflowd_graph_memo_hits_total %d\n", s.met.memoHits.Load())
+	fmt.Fprintf(w, "flexflowd_graph_memo_misses_total %d\n", s.met.memoMisses.Load())
+	fmt.Fprintf(w, "flexflowd_job_panics_total %d\n", s.met.jobPanics.Load())
 	fmt.Fprintf(w, "flexflowd_proposals_total %d\n", proposals)
 	fmt.Fprintf(w, "flexflowd_proposals_per_sec %g\n", perSec)
 }

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"flexflow"
@@ -88,8 +91,12 @@ type optimizeResponse struct {
 
 // request is a decoded, validated optimize request.
 type request struct {
-	wire      optimizeRequest
+	wire optimizeRequest
+	// prob.Graph stays nil when the graph memo answered for it: a cache
+	// hit or a coalesced join never needs the graph, and a search builds
+	// it on its job (see Server.run).
 	prob      flexflow.Problem
+	graphFP   flexflow.GraphFingerprint
 	algorithm string
 	opts      flexflow.OptimizeOptions
 	timeout   time.Duration
@@ -100,7 +107,10 @@ type request struct {
 const maxRequestBytes = 16 << 20
 
 // decodeRequest parses and validates the POST /v1/optimize body into a
-// runnable request. All errors are client errors (400).
+// runnable request. Every check that needs no graph runs first; the
+// graph itself is built only when the graph memo has not seen its
+// source or an initial strategy must be validated against it. All
+// errors are client errors (400).
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request, error) {
 	var wire optimizeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -108,16 +118,17 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request
 	if err := dec.Decode(&wire); err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("decoding request: data after the request object")
+	}
 
-	g, err := buildGraph(&wire)
-	if err != nil {
+	if err := checkGraphSource(&wire); err != nil {
 		return nil, err
 	}
 	topo, err := buildTopology(&wire)
 	if err != nil {
 		return nil, err
 	}
-
 	algorithm := wire.Algorithm
 	if algorithm == "" {
 		algorithm = "mcmc"
@@ -149,14 +160,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request
 	if _, err := flexflow.ParseLocality(opts.Locality); err != nil {
 		return nil, err
 	}
-	if len(wire.Initial) > 0 {
-		initial, err := flexflow.ImportStrategy(wire.Initial, g, topo)
-		if err != nil {
-			return nil, fmt.Errorf("initial strategy: %w", err)
-		}
-		opts.Initial = initial
-	}
-
 	timeout := s.opts.DefaultTimeout
 	if o.TimeoutMS > 0 {
 		timeout = time.Duration(o.TimeoutMS) * time.Millisecond
@@ -165,32 +168,91 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request
 		timeout = s.opts.MaxTimeout
 	}
 
-	return &request{
+	req := &request{
 		wire:      wire,
-		prob:      flexflow.Problem{Graph: g, Topology: topo},
+		prob:      flexflow.Problem{Topology: topo},
 		algorithm: algorithm,
 		opts:      opts,
 		timeout:   timeout,
-	}, nil
+	}
+	if err := s.resolveGraph(req); err != nil {
+		return nil, err
+	}
+	if len(wire.Initial) > 0 {
+		initial, err := flexflow.ImportStrategy(wire.Initial, req.prob.Graph, topo)
+		if err != nil {
+			return nil, fmt.Errorf("initial strategy: %w", err)
+		}
+		req.opts.Initial = initial
+	}
+	return req, nil
 }
 
-// buildGraph resolves the request's graph source.
-func buildGraph(wire *optimizeRequest) (*flexflow.Graph, error) {
+// resolveGraph sets the request's graph fingerprint: from the graph
+// memo when the request's graph source was seen before, else by
+// building the graph — which a request with an initial strategy
+// always does, to validate the strategy against it. Only a graph that
+// built (and so validated) enters the memo.
+func (s *Server) resolveGraph(req *request) error {
+	var key string
+	if s.memo != nil {
+		key = graphSourceKey(&req.wire)
+		if len(req.wire.Initial) == 0 {
+			if gf, ok := s.memo.get(key); ok {
+				s.met.memoHits.Add(1)
+				req.graphFP = gf
+				return nil
+			}
+			s.met.memoMisses.Add(1)
+		}
+	}
+	g, err := buildGraph(&req.wire)
+	if err != nil {
+		return err
+	}
+	req.prob.Graph = g
+	req.graphFP = flexflow.FingerprintGraph(g)
+	if s.memo != nil {
+		s.memo.put(key, req.graphFP)
+	}
+	return nil
+}
+
+// graphSourceKey is the graph memo's key: the model-zoo name and scale,
+// or the SHA-256 of the inline graph's bytes as sent (so the same graph
+// re-sent with different whitespace is a memo miss, though still the
+// same fingerprint).
+func graphSourceKey(wire *optimizeRequest) string {
+	if wire.Model != "" {
+		return "zoo " + strconv.Itoa(wire.Scale) + " " + wire.Model
+	}
+	sum := sha256.Sum256(wire.Graph)
+	return "graph " + string(sum[:])
+}
+
+// checkGraphSource validates the request's graph source without
+// building the graph.
+func checkGraphSource(wire *optimizeRequest) error {
 	switch {
 	case wire.Model != "" && len(wire.Graph) > 0:
-		return nil, fmt.Errorf("request names both a model and an inline graph; pick one")
-	case wire.Model != "":
-		if wire.Scale < 0 {
-			return nil, fmt.Errorf("scale must be >= 0, got %d", wire.Scale)
-		}
-		if wire.Scale > 0 {
-			return flexflow.ModelScaled(wire.Model, wire.Scale)
-		}
-		return flexflow.Model(wire.Model)
-	case len(wire.Graph) > 0:
+		return fmt.Errorf("request names both a model and an inline graph; pick one")
+	case wire.Model == "" && len(wire.Graph) == 0:
+		return fmt.Errorf("request needs a graph: set model or graph")
+	case wire.Model != "" && wire.Scale < 0:
+		return fmt.Errorf("scale must be >= 0, got %d", wire.Scale)
+	}
+	return nil
+}
+
+// buildGraph builds the graph of a source checkGraphSource accepted.
+func buildGraph(wire *optimizeRequest) (*flexflow.Graph, error) {
+	switch {
+	case wire.Model == "":
 		return flexflow.ImportGraph(wire.Graph)
+	case wire.Scale > 0:
+		return flexflow.ModelScaled(wire.Model, wire.Scale)
 	default:
-		return nil, fmt.Errorf("request needs a graph: set model or graph")
+		return flexflow.Model(wire.Model)
 	}
 }
 
@@ -230,13 +292,22 @@ func buildTopology(wire *optimizeRequest) (*flexflow.Topology, error) {
 	}
 }
 
-// writeJSON writes v as a JSON response with the given status.
+// writeJSON writes v as a compact JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status, body = http.StatusInternalServerError, []byte(`{"error":"encoding response"}`)
+	}
+	writeBody(w, status, body)
+}
+
+// writeBody writes an already rendered JSON body (json.Marshal output,
+// the form the strategy cache stores) and a closing newline.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
+	io.WriteString(w, "\n")
 }
 
 // writeError writes a JSON {"error": ...} body with the given status.

@@ -14,8 +14,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,7 +72,13 @@ type Server struct {
 	mu      sync.Mutex
 	jobs    map[string]*job   // coalescable in-flight searches, by fingerprint
 	running map[*job]struct{} // every in-flight search, for Drain cancellation
-	cache   *lruCache
+	// cache maps a fingerprint to the compact JSON body of its cache
+	// hit (json.Marshal of the response with cached set), rendered once
+	// when the search finished; memo maps a graph source to that
+	// graph's share of the fingerprint. Both are nil when caching is
+	// disabled.
+	cache *lruCache[[]byte]
+	memo  *lruCache[flexflow.GraphFingerprint]
 
 	met metrics
 }
@@ -99,7 +108,8 @@ func New(opts Options) *Server {
 		running: map[*job]struct{}{},
 	}
 	if size > 0 {
-		s.cache = newLRUCache(size)
+		s.cache = newLRUCache[[]byte](size)
+		s.memo = newLRUCache[flexflow.GraphFingerprint](size)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
@@ -188,6 +198,9 @@ func (j *job) publish(ev flexflow.ProgressEvent) {
 // handleOptimize serves POST /v1/optimize: cache lookup, coalescing
 // onto an identical in-flight search, admission control, then either a
 // plain JSON response or an SSE stream depending on the Accept header.
+// A cache hit is a request decode (which the graph memo spares the
+// graph build), one fingerprint finish, one lookup and one write of
+// the stored body.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -200,18 +213,17 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	stream := wantsSSE(r)
 
-	fp, fpErr := flexflow.Fingerprint(req.prob, req.algorithm, req.opts)
+	fp, fpErr := req.graphFP.Fingerprint(req.prob, req.algorithm, req.opts)
 	// An uncacheable request (fpErr != nil — e.g. a budget priced by an
 	// opaque process-wide CostModel) still runs; it just cannot be
 	// answered from or stored into the cache, nor coalesced.
 	if fpErr == nil && s.cache != nil && !req.wire.NoCache {
-		if resp, ok := s.cache.get(fp); ok {
+		if body, ok := s.cache.get(fp); ok {
 			s.met.cacheHits.Add(1)
-			resp.Cached = true
 			if stream {
-				streamResult(w, resp)
+				streamResult(w, body)
 			} else {
-				writeJSON(w, http.StatusOK, resp)
+				writeBody(w, http.StatusOK, body)
 			}
 			return
 		}
@@ -271,6 +283,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // already acquired an admission slot. Returns nil if Drain raced the
 // caller's entry check — registration and wg.Add happen under mu, the
 // same lock Drain flags under, so Drain's Wait can never miss a job.
+// A panicking optimizer fails only its own job: the leader and every
+// coalesced waiter get a 500, its slot and registrations are released,
+// and nothing is cached.
 func (s *Server) startJob(fp string, dedup, store bool, req *request) *job {
 	ctx, cancel := context.WithTimeout(context.Background(), req.timeout)
 	j := &job{cancel: cancel, done: make(chan struct{})}
@@ -293,18 +308,25 @@ func (s *Server) startJob(fp string, dedup, store bool, req *request) *job {
 	s.met.jobsTotal.Add(1)
 	s.met.inflight.Add(1)
 	go func() {
-		j.res, j.status, j.err = s.run(ctx, fp, store, req.prob, req.algorithm, opts)
-		cancel()
-		s.mu.Lock()
-		if dedup {
-			delete(s.jobs, fp)
-		}
-		delete(s.running, j)
-		s.mu.Unlock()
-		<-s.sem
-		s.met.inflight.Add(-1)
-		s.wg.Done()
-		close(j.done)
+		defer func() {
+			if p := recover(); p != nil {
+				s.met.jobPanics.Add(1)
+				log.Printf("flexflowd: optimizer %q panicked: %v\n%s", req.algorithm, p, debug.Stack())
+				j.res, j.status, j.err = nil, http.StatusInternalServerError, fmt.Errorf("optimizer %q panicked: %v", req.algorithm, p)
+			}
+			cancel()
+			s.mu.Lock()
+			if dedup {
+				delete(s.jobs, fp)
+			}
+			delete(s.running, j)
+			s.mu.Unlock()
+			<-s.sem
+			s.met.inflight.Add(-1)
+			s.wg.Done()
+			close(j.done)
+		}()
+		j.res, j.status, j.err = s.run(ctx, fp, store, req, opts)
 	}()
 	return j
 }
@@ -313,11 +335,18 @@ func (s *Server) startJob(fp string, dedup, store bool, req *request) *job {
 // stored in the cache (when store is set); a deadline-cut result is
 // returned with timed_out set but never cached, because a wall-clock
 // truncation is not the deterministic full-search answer the
-// fingerprint promises.
-func (s *Server) run(ctx context.Context, fp string, store bool, prob flexflow.Problem, algorithm string, opts flexflow.OptimizeOptions) (*optimizeResponse, int, error) {
+// fingerprint promises. The graph is built here when the graph memo
+// spared decodeRequest the build.
+func (s *Server) run(ctx context.Context, fp string, store bool, req *request, opts flexflow.OptimizeOptions) (*optimizeResponse, int, error) {
+	algorithm, prob := req.algorithm, req.prob
 	opt, err := flexflow.GetOptimizer(algorithm)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
+	}
+	if prob.Graph == nil {
+		if prob.Graph, err = buildGraph(&req.wire); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
 	}
 	res, err := opt.Optimize(ctx, prob, opts)
 	s.met.proposals.Add(int64(res.Iters))
@@ -349,7 +378,13 @@ func (s *Server) run(ctx context.Context, fp string, store bool, prob flexflow.P
 		return resp, http.StatusOK, nil
 	}
 	if store && s.cache != nil {
-		s.cache.put(fp, *resp)
+		hit := *resp
+		hit.Cached = true
+		body, err := json.Marshal(hit)
+		if err != nil {
+			return nil, http.StatusInternalServerError, err
+		}
+		s.cache.put(fp, body)
 	}
 	return resp, http.StatusOK, nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -44,8 +45,24 @@ func (blockingOptimizer) Optimize(ctx context.Context, p flexflow.Problem, o fle
 	}, ctx.Err()
 }
 
+// panicRelease gates the "panictest" optimizer, which panics once the
+// channel closes: a stand-in for a bug inside Optimize.
+var panicRelease chan struct{}
+
+// panickingOptimizer is a test-only optimizer that panics on its job
+// goroutine.
+type panickingOptimizer struct{}
+
+func (panickingOptimizer) Name() string { return "panictest" }
+
+func (panickingOptimizer) Optimize(ctx context.Context, p flexflow.Problem, o flexflow.OptimizeOptions) (flexflow.Result, error) {
+	<-panicRelease
+	panic("panictest: deliberate")
+}
+
 func init() {
 	flexflow.RegisterOptimizer("blocktest", func() flexflow.Optimizer { return blockingOptimizer{} })
+	flexflow.RegisterOptimizer("panictest", func() flexflow.Optimizer { return panickingOptimizer{} })
 }
 
 // optBody builds a small real request: lenet/16 on 2 GPUs, few enough
@@ -69,6 +86,22 @@ func postJSON(t *testing.T, ts *httptest.Server, body string) (*http.Response, o
 		}
 	}
 	return resp, out
+}
+
+// postRaw posts an optimize request and returns the status and the
+// response body as sent.
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, []byte) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
 }
 
 // scrapeMetric reads one flexflowd_* counter off /metrics.
@@ -185,7 +218,7 @@ func TestOptimizeMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The response encoder re-indents embedded JSON; compare compacted.
+	// ExportStrategy indents; the response carries it compacted.
 	var gotC, wantC bytes.Buffer
 	if err := json.Compact(&gotC, got.Strategy); err != nil {
 		t.Fatal(err)
@@ -234,6 +267,228 @@ func TestInlineGraphHitsModelCache(t *testing.T) {
 	}
 	if !bytes.Equal(first.Strategy, second.Strategy) {
 		t.Fatal("inline form got a different strategy")
+	}
+
+	// The same graph with different whitespace is a different graph
+	// source, so the memo misses — but it is the same graph, so the
+	// fingerprint and the cache entry are the same.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, gdata); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(compact.Bytes(), gdata) {
+		t.Fatal("compacting the exported graph changed nothing; the test needs different bytes")
+	}
+	misses := scrapeMetric(t, ts, "flexflowd_graph_memo_misses_total")
+	resp, third := postJSON(t, ts, fmt.Sprintf(`{"graph":%s,"topology":%s,"algorithm":"mcmc",
+		"options":{"max_iters":60,"seed":5,"timeout_ms":30000}}`, compact.Bytes(), tdata))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-spaced inline request: status %d", resp.StatusCode)
+	}
+	if got := scrapeMetric(t, ts, "flexflowd_graph_memo_misses_total"); got != misses+1 {
+		t.Fatalf("re-spaced inline graph: memo misses %g -> %g, want one more", misses, got)
+	}
+	if !third.Cached || third.Fingerprint != first.Fingerprint {
+		t.Fatalf("re-spaced inline graph: cached %v, fingerprint %s, want a hit on %s",
+			third.Cached, third.Fingerprint, first.Fingerprint)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_total"); n != 1 {
+		t.Fatalf("jobs_total = %g, want the one priming search", n)
+	}
+}
+
+// TestHitBodyMatchesMiss pins the hit path's bytes: a cache hit writes
+// the stored body, which equals the miss's body except for "cached",
+// and an SSE hit's result frame carries those same stored bytes.
+func TestHitBodyMatchesMiss(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	status, miss := postRaw(t, ts, optBody("mcmc", 13, ""))
+	if status != http.StatusOK {
+		t.Fatalf("miss: status %d: %s", status, miss)
+	}
+	status, hit := postRaw(t, ts, optBody("mcmc", 13, ""))
+	if status != http.StatusOK {
+		t.Fatalf("hit: status %d: %s", status, hit)
+	}
+	if n := bytes.Count(miss, []byte(`"cached":false`)); n != 1 {
+		t.Fatalf("miss body holds %d compact \"cached\":false fields: %s", n, miss)
+	}
+	want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+	if !bytes.Equal(hit, want) {
+		t.Fatalf("hit body differs from the miss body beyond \"cached\":\n miss %s\n hit  %s", miss, hit)
+	}
+
+	var out optimizeResponse
+	if err := json.Unmarshal(hit, &out); err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := srv.cache.get(out.Fingerprint)
+	if !ok {
+		t.Fatal("no cache entry for the hit's fingerprint")
+	}
+	if !bytes.Equal(append(stored, '\n'), hit) {
+		t.Fatal("JSON hit is not the stored body")
+	}
+	events := sseEvents(t, ts, optBody("mcmc", 13, ""))
+	if len(events) != 1 || events[0][0] != "result" || events[0][1] != string(stored) {
+		t.Fatalf("SSE hit frames %q, want one result frame carrying the stored body", events)
+	}
+}
+
+// decodeBody runs decodeRequest on an optimize body.
+func decodeBody(t *testing.T, srv *Server, body string) *request {
+	t.Helper()
+	r := httptest.NewRequest("POST", "/v1/optimize", strings.NewReader(body))
+	req, err := srv.decodeRequest(httptest.NewRecorder(), r)
+	if err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	return req
+}
+
+// TestMemoFingerprintMatches asserts the memoized fingerprint of every
+// graph-source shape equals flexflow.Fingerprint of the built problem,
+// on the decode that fills the memo and on the one it answers.
+func TestMemoFingerprintMatches(t *testing.T) {
+	g, err := flexflow.ModelScaled("lenet", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := flexflow.NewSingleNode(2, "P100")
+	gdata, err := flexflow.ExportGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdata, err := flexflow.ExportTopology(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdata, err := flexflow.ExportStrategy(g, flexflow.DataParallel(g, topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := `"options":{"max_iters":60,"seed":3}`
+	cases := []struct{ name, body string }{
+		{"zoo", `{"model":"lenet","gpus":2,` + opts + `}`},
+		{"scaled zoo", `{"model":"lenet","scale":16,"gpus":2,` + opts + `}`},
+		{"inline graph", fmt.Sprintf(`{"graph":%s,"gpus":2,%s}`, gdata, opts)},
+		{"inline topology", fmt.Sprintf(`{"model":"lenet","scale":16,"topology":%s,%s}`, tdata, opts)},
+		{"initial", fmt.Sprintf(`{"model":"lenet","scale":16,"gpus":2,"initial":%s,%s}`, sdata, opts)},
+	}
+	srv := New(Options{})
+	for _, c := range cases {
+		name, body := c.name, c.body
+		for pass := 0; pass < 2; pass++ {
+			req := decodeBody(t, srv, body)
+			if pass == 1 && len(req.wire.Initial) == 0 && req.prob.Graph != nil {
+				t.Errorf("%s: repeat decode built the graph despite the memo", name)
+			}
+			got, err := req.graphFP.Fingerprint(req.prob, req.algorithm, req.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			built, err := buildGraph(&req.wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := flexflow.Fingerprint(flexflow.Problem{Graph: built, Topology: req.prob.Topology}, req.algorithm, req.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s pass %d: memoized fingerprint %s != Fingerprint %s", name, pass, got, want)
+			}
+		}
+	}
+	// Zoo, scaled zoo and inline graph each miss once and fill one
+	// entry; the inline topology hits the scaled zoo's twice, and the
+	// initial strategy never looks the memo up.
+	if h, m := srv.met.memoHits.Load(), srv.met.memoMisses.Load(); h != 5 || m != 3 {
+		t.Fatalf("memo hits/misses = %d/%d, want 5/3", h, m)
+	}
+}
+
+// TestMemoBounded asserts the graph memo is an LRU bounded like the
+// strategy cache and that an invalid graph never enters it.
+func TestMemoBounded(t *testing.T) {
+	srv := New(Options{CacheSize: 1})
+	a := `{"model":"lenet","scale":16,"gpus":2}`
+	b := `{"model":"lenet","scale":8,"gpus":2}`
+	for _, body := range []string{a, b, a} {
+		decodeBody(t, srv, body)
+	}
+	if h, m, n := srv.met.memoHits.Load(), srv.met.memoMisses.Load(), srv.memo.len(); h != 0 || m != 3 || n != 1 {
+		t.Fatalf("memo hits/misses/entries = %d/%d/%d, want 0/3/1 (the second source evicts the first)", h, m, n)
+	}
+	decodeBody(t, srv, a)
+	if h := srv.met.memoHits.Load(); h != 1 {
+		t.Fatalf("memo hits = %d after repeating the last source, want 1", h)
+	}
+
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+	bad := `{"graph":{"name":"g","ops":[{"name":"x","kind":"Warp"}]},"gpus":2}`
+	for i := 0; i < 2; i++ {
+		if status, body := postRaw(t, ts, bad); status != http.StatusBadRequest {
+			t.Fatalf("invalid inline graph, try %d: status %d: %s", i, status, body)
+		}
+	}
+	if h := scrapeMetric(t, ts, "flexflowd_graph_memo_hits_total"); h != 0 {
+		t.Fatalf("an invalid inline graph entered the memo: memo hits = %g", h)
+	}
+}
+
+// TestJobPanic asserts a panicking optimizer fails only its own job:
+// the leader and a coalesced waiter get a 500, nothing is cached, the
+// admission slot is released so the daemon keeps answering, and Drain
+// returns.
+func TestJobPanic(t *testing.T) {
+	panicRelease = make(chan struct{})
+	srv := New(Options{MaxInflight: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	statuses := make(chan int, 2)
+	post := func() {
+		status, _ := postRaw(t, ts, optBody("panictest", 1, ""))
+		statuses <- status
+	}
+	go post()
+	waitMetric(t, ts, "flexflowd_jobs_inflight", 1)
+	go post()
+	// The joiner counts its cache miss just before it coalesces.
+	waitMetric(t, ts, "flexflowd_cache_misses_total", 2)
+	time.Sleep(50 * time.Millisecond)
+	close(panicRelease)
+	for i := 0; i < 2; i++ {
+		if status := <-statuses; status != http.StatusInternalServerError {
+			t.Fatalf("reply %d of the panicking search: status %d, want 500", i, status)
+		}
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_job_panics_total"); n != 1 {
+		t.Fatalf("job_panics_total = %g", n)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_total"); n != 1 {
+		t.Fatalf("jobs_total = %g, want the one search both requests shared", n)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_inflight"); n != 0 {
+		t.Fatalf("jobs_inflight = %g after the panic", n)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_cache_entries"); n != 0 {
+		t.Fatalf("a panicked search was cached: entries = %g", n)
+	}
+
+	// With MaxInflight 1, this only runs if the panic gave the slot back.
+	if status, body := postRaw(t, ts, optBody("mcmc", 2, "")); status != http.StatusOK {
+		t.Fatalf("request after the panic: status %d: %s", status, body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("Drain after a panicked search: %v", err)
 	}
 }
 
@@ -572,9 +827,12 @@ func TestNoCacheForcesRun(t *testing.T) {
 	}
 }
 
-// TestBadRequests drives every request-validation path to a 400.
+// TestBadRequests drives every request-validation path to a 400, with
+// the graph memo cold and again once it is warm for the graph sources
+// the cases name, so that no check is skipped on a memo hit.
 func TestBadRequests(t *testing.T) {
-	ts := httptest.NewServer(New(Options{}))
+	srv := New(Options{})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	cases := map[string]string{
@@ -590,19 +848,29 @@ func TestBadRequests(t *testing.T) {
 		"negative scale":    `{"model":"lenet","scale":-1,"gpus":2}`,
 		"bad initial":       `{"model":"lenet","scale":16,"gpus":2,"initial":{"name":"other"}}`,
 		"bad inline graph":  `{"graph":{"name":"g","ops":[{"name":"x","kind":"Warp"}]},"gpus":2}`,
+		"trailing data":     `{"model":"lenet","scale":16,"gpus":2} trailing garbage {`,
+		"two objects":       `{"model":"lenet","scale":16,"gpus":2}{"model":"lenet","scale":16,"gpus":2}`,
 	}
-	for name, body := range cases {
-		resp, err := ts.Client().Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var msg map[string]string
-		json.NewDecoder(resp.Body).Decode(&msg)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%v), want 400", name, resp.StatusCode, msg)
+	check := func(when string) {
+		t.Helper()
+		for name, body := range cases {
+			status, msg := postRaw(t, ts, body)
+			if status != http.StatusBadRequest {
+				t.Errorf("%s, %s: status %d (%s), want 400", name, when, status, msg)
+			}
 		}
 	}
+	check("memo cold")
+	for _, body := range []string{
+		`{"model":"lenet","gpus":2}`,
+		`{"model":"lenet","scale":16,"gpus":2}`,
+	} {
+		decodeBody(t, srv, body)
+	}
+	if n := srv.memo.len(); n != 2 {
+		t.Fatalf("memo holds %d entries after warming, want 2", n)
+	}
+	check("memo warm")
 }
 
 // TestMetaEndpoints covers /healthz and /v1/optimizers.

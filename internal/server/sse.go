@@ -31,12 +31,17 @@ func wantsSSE(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
-// writeEvent writes one SSE frame.
+// writeEvent writes one SSE frame with v as its JSON data.
 func writeEvent(w io.Writer, event string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
+	writeFrame(w, event, data)
+}
+
+// writeFrame writes one SSE frame with already rendered JSON data.
+func writeFrame(w io.Writer, event string, data []byte) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
@@ -48,15 +53,16 @@ func sseHeaders(w http.ResponseWriter) {
 }
 
 // streamResult answers an SSE request that needs no live search — a
-// cache hit — with a single terminal result event.
-func streamResult(w http.ResponseWriter, resp optimizeResponse) {
+// cache hit — with a single terminal result event carrying the stored
+// body as is.
+func streamResult(w http.ResponseWriter, body []byte) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusNotAcceptable, "response writer does not support streaming")
 		return
 	}
 	sseHeaders(w)
-	writeEvent(w, "result", resp)
+	writeFrame(w, "result", body)
 	fl.Flush()
 }
 

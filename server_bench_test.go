@@ -3,8 +3,11 @@
 // be an import cycle) and measures the strategy server end to end over
 // a real HTTP round trip. "cold" forces a fresh search on every
 // request with no_cache; "cached" answers every repeat of an identical
-// request from the content-addressed strategy cache. The gap between
-// the two is what the cache buys a repeat caller.
+// request from the content-addressed strategy cache, and
+// "cached-inline" does the same for a request carrying the graph
+// inline, whose hit still parses and hashes the whole payload. The gap
+// between "cold" and the cached cases is what the cache buys a repeat
+// caller.
 package flexflow_test
 
 import (
@@ -15,6 +18,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"flexflow"
 	"flexflow/internal/server"
 )
 
@@ -47,22 +51,52 @@ func benchServerPost(b *testing.B, ts *httptest.Server, body []byte) (cached boo
 }
 
 func BenchmarkServerOptimize(b *testing.B) {
-	req := func(noCache bool) []byte {
-		raw, err := json.Marshal(map[string]any{
-			"model": "lenet", "scale": 16, "gpus": 2,
+	g, err := flexflow.ModelScaled("lenet", 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gdata, err := flexflow.ExportGraph(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := func(noCache, inline bool) []byte {
+		m := map[string]any{
+			"gpus":     2,
 			"options":  map[string]any{"max_iters": 60, "seed": 7, "timeout_ms": 60000},
 			"no_cache": noCache,
-		})
+		}
+		if inline {
+			m["graph"] = json.RawMessage(gdata)
+		} else {
+			m["model"], m["scale"] = "lenet", 16
+		}
+		raw, err := json.Marshal(m)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return raw
 	}
+	cached := func(inline bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			ts := httptest.NewServer(server.New(server.Options{}))
+			defer ts.Close()
+			body := req(false, inline)
+			benchServerPost(b, ts, body) // prime the cache with the one real search
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !benchServerPost(b, ts, body) {
+					b.Fatal("identical repeat request re-ran the search")
+				}
+			}
+		}
+	}
 
 	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
 		ts := httptest.NewServer(server.New(server.Options{}))
 		defer ts.Close()
-		body := req(true)
+		body := req(true, false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if benchServerPost(b, ts, body) {
@@ -71,16 +105,6 @@ func BenchmarkServerOptimize(b *testing.B) {
 		}
 	})
 
-	b.Run("cached", func(b *testing.B) {
-		ts := httptest.NewServer(server.New(server.Options{}))
-		defer ts.Close()
-		body := req(false)
-		benchServerPost(b, ts, body) // prime the cache with the one real search
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !benchServerPost(b, ts, body) {
-				b.Fatal("identical repeat request re-ran the search")
-			}
-		}
-	})
+	b.Run("cached", cached(false))
+	b.Run("cached-inline", cached(true))
 }
