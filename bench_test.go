@@ -303,20 +303,36 @@ func BenchmarkChainSetupSynth100k(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---------------------------------------
 
-// BenchmarkTaskGraphBuild measures BUILDTASKGRAPH (Algorithm 1 line 2).
+// BenchmarkTaskGraphBuild measures BUILDTASKGRAPH (Algorithm 1 line 2),
+// the builder Compile and ReplaceConfig share. The nmt-2node cases are
+// the time-to-quality benchmark's own problem (paper-scale nmt on two
+// 4-GPU P100 nodes) from its two initial strategies: data parallelism
+// and the seed-1 random strategy search.Initials draws.
 func BenchmarkTaskGraphBuild(b *testing.B) {
+	run := func(b *testing.B, g *graph.Graph, topo *device.Topology, s *config.Strategy) {
+		est := newEstimator()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			taskgraph.Build(g, topo, s, est, taskgraph.Options{})
+		}
+	}
 	for _, model := range []string{"inception-v3", "nmt"} {
 		b.Run(model, func(b *testing.B) {
 			g := benchGraph(b, model, 8)
 			topo := device.NewSingleNode(4, "P100")
-			s := config.DataParallel(g, topo)
-			est := newEstimator()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				taskgraph.Build(g, topo, s, est, taskgraph.Options{})
-			}
+			run(b, g, topo, config.DataParallel(g, topo))
 		})
 	}
+	spec, err := models.Get("nmt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := spec.BuildPaper()
+	topo := device.NewP100Cluster(2)
+	initials := search.Initials(g, topo, 1, false)
+	b.Run("nmt-2node-dp", func(b *testing.B) { run(b, g, topo, initials[0]) })
+	b.Run("nmt-2node-random", func(b *testing.B) { run(b, g, topo, initials[1]) })
 }
 
 // BenchmarkFullSimulation measures Algorithm 1's timeline construction.

@@ -16,113 +16,105 @@ import (
 //
 // The returned slice is parallel to op.Inputs. Regions are expressed in
 // each input tensor's own coordinate space and are clamped to it.
+//
+// The count is the kind's own — one region for single-input kinds, two
+// for Add and Attention (and for an LSTM step with a previous state),
+// one per input for Stack and Concat — not len(op.Inputs): Graph.Validate
+// rejects an op wired with the wrong number of inputs by comparing the
+// two.
 func InputRegions(op *Op, out tensor.Region) []tensor.Region {
-	switch op.Kind {
-	case Input:
+	n := 1
+	switch {
+	case op.Kind == Input:
 		return nil
+	case op.Kind == Add || op.Kind == Attention || op.Kind == LSTM && len(op.Inputs) == 2:
+		n = 2
+	case op.Kind == Stack || op.Kind == Concat:
+		n = len(op.Inputs)
+	}
+	regions := make([]tensor.Region, n)
+	for i := range regions {
+		regions[i] = InputRegion(op, out, i, nil)
+	}
+	return regions
+}
+
+// InputRegion is InputRegions(op, out)[i]: the region of input i alone,
+// with one interval per dimension written into iv's backing when its
+// capacity suffices (allocated otherwise). A caller that reuses one
+// buffer across tasks — the task-graph builder walks every consumer
+// task of every edge — computes regions without allocating; the result
+// aliases iv and is only valid until the buffer's next use.
+func InputRegion(op *Op, out tensor.Region, i int, iv []tensor.Interval) tensor.Region {
+	iv = iv[:0]
+	switch op.Kind {
 	case Conv2D:
 		in := op.Inputs[0].Out
-		return []tensor.Region{{Iv: []tensor.Interval{
+		iv = append(iv,
 			out.Iv[0],
-			{Lo: 0, Hi: in.Size(1)}, // full input channels (reduction)
+			tensor.Interval{Lo: 0, Hi: in.Size(1)}, // full input channels (reduction)
 			receptive(out.Iv[2], op.KernelH, op.StrideH, op.PadH, in.Size(2)),
-			receptive(out.Iv[3], op.KernelW, op.StrideW, op.PadW, in.Size(3)),
-		}}}
+			receptive(out.Iv[3], op.KernelW, op.StrideW, op.PadW, in.Size(3)))
 	case Pool2D:
 		in := op.Inputs[0].Out
-		return []tensor.Region{{Iv: []tensor.Interval{
+		iv = append(iv,
 			out.Iv[0],
 			out.Iv[1], // pooling is per-channel
 			receptive(out.Iv[2], op.KernelH, op.StrideH, op.PadH, in.Size(2)),
-			receptive(out.Iv[3], op.KernelW, op.StrideW, op.PadW, in.Size(3)),
-		}}}
+			receptive(out.Iv[3], op.KernelW, op.StrideW, op.PadW, in.Size(3)))
 	case MatMul, Softmax:
 		in := op.Inputs[0].Out
-		return []tensor.Region{{Iv: []tensor.Interval{
-			out.Iv[0],
-			{Lo: 0, Hi: in.Size(1)}, // full reduction depth
-		}}}
+		iv = append(iv, out.Iv[0], tensor.Interval{Lo: 0, Hi: in.Size(1)}) // full reduction depth
 	case Embedding:
 		// Need the token ids for our samples over the length slice.
-		return []tensor.Region{{Iv: []tensor.Interval{
-			out.Iv[0],
-			out.Iv[1],
-		}}}
+		iv = append(iv, out.Iv[0], out.Iv[1])
 	case LSTM:
-		seq := op.Inputs[0].Out
-		var xRegion tensor.Region
-		if seq.Rank() == 3 {
-			xRegion = tensor.Region{Iv: []tensor.Interval{
-				out.Iv[0],
-				{Lo: op.Step, Hi: op.Step + 1},
-				{Lo: 0, Hi: seq.Size(2)}, // gates contract over full input channels
-			}}
-		} else {
-			xRegion = tensor.Region{Iv: []tensor.Interval{
-				out.Iv[0],
-				{Lo: 0, Hi: seq.Size(1)},
-			}}
-		}
-		regions := []tensor.Region{xRegion}
-		if len(op.Inputs) == 2 {
+		if i == 1 {
 			prev := op.Inputs[1].Out
-			regions = append(regions, tensor.Region{Iv: []tensor.Interval{
-				out.Iv[0],
-				{Lo: 0, Hi: prev.Size(1)}, // full previous hidden state
-			}})
+			iv = append(iv, out.Iv[0], tensor.Interval{Lo: 0, Hi: prev.Size(1)}) // full previous hidden state
+			break
 		}
-		return regions
+		seq := op.Inputs[0].Out
+		if seq.Rank() == 3 {
+			iv = append(iv,
+				out.Iv[0],
+				tensor.Interval{Lo: op.Step, Hi: op.Step + 1},
+				tensor.Interval{Lo: 0, Hi: seq.Size(2)}) // gates contract over full input channels
+		} else {
+			iv = append(iv, out.Iv[0], tensor.Interval{Lo: 0, Hi: seq.Size(1)})
+		}
 	case Attention:
-		q := op.Inputs[0].Out
+		if i == 0 {
+			q := op.Inputs[0].Out
+			iv = append(iv, out.Iv[0], tensor.Interval{Lo: 0, Hi: q.Size(1)})
+			break
+		}
 		m := op.Inputs[1].Out
-		return []tensor.Region{
-			{Iv: []tensor.Interval{out.Iv[0], {Lo: 0, Hi: q.Size(1)}}},
-			{Iv: []tensor.Interval{out.Iv[0], {Lo: 0, Hi: m.Size(1)}, {Lo: 0, Hi: m.Size(2)}}},
-		}
+		iv = append(iv, out.Iv[0], tensor.Interval{Lo: 0, Hi: m.Size(1)}, tensor.Interval{Lo: 0, Hi: m.Size(2)})
 	case Stack:
-		regions := make([]tensor.Region, len(op.Inputs))
-		for i, in := range op.Inputs {
-			want := out.Iv[1].Intersect(tensor.Interval{Lo: i, Hi: i + 1})
-			if want.Empty() {
-				regions[i] = tensor.Region{Iv: []tensor.Interval{{}, {}}}
-				continue
-			}
-			regions[i] = tensor.Region{Iv: []tensor.Interval{
-				out.Iv[0],
-				{Lo: 0, Hi: in.Out.Size(1)},
-			}}
-			// Tighten to the channel slice actually requested.
-			regions[i].Iv[1] = out.Iv[2]
+		if out.Iv[1].Intersect(tensor.Interval{Lo: i, Hi: i + 1}).Empty() {
+			iv = append(iv, tensor.Interval{}, tensor.Interval{})
+			break
 		}
-		return regions
+		// The requested channel slice of input i's (sample, channel).
+		iv = append(iv, out.Iv[0], out.Iv[2])
 	case Concat:
-		regions := make([]tensor.Region, len(op.Inputs))
-		off := 0
 		d := op.ConcatDim
-		for i, in := range op.Inputs {
-			size := in.Out.Size(d)
-			iv := make([]tensor.Interval, out.Rank())
-			copy(iv, out.Iv)
-			// Map the output interval back into this input's coordinates.
-			seg := out.Iv[d].Intersect(tensor.Interval{Lo: off, Hi: off + size})
-			iv[d] = tensor.Interval{Lo: seg.Lo - off, Hi: seg.Hi - off}
-			if iv[d].Empty() {
-				iv[d] = tensor.Interval{}
-				// Region is empty: this task reads nothing from input i.
-				for j := range iv {
-					if j != d {
-						iv[j] = tensor.Interval{}
-					}
-				}
-			}
-			regions[i] = tensor.Region{Iv: iv}
-			off += size
+		off := 0
+		for _, in := range op.Inputs[:i] {
+			off += in.Out.Size(d)
 		}
-		return regions
-	case Add:
-		return []tensor.Region{out.Clone(), out.Clone()}
-	case Activation:
-		return []tensor.Region{out.Clone()}
+		size := op.Inputs[i].Out.Size(d)
+		iv = append(iv, out.Iv...)
+		// Map the output interval back into this input's coordinates.
+		seg := out.Iv[d].Intersect(tensor.Interval{Lo: off, Hi: off + size})
+		iv[d] = tensor.Interval{Lo: seg.Lo - off, Hi: seg.Hi - off}
+		if iv[d].Empty() {
+			// Region is empty: this task reads nothing from input i.
+			clear(iv)
+		}
+	case Add, Activation:
+		iv = append(iv, out.Iv...)
 	case Flatten:
 		in := op.Inputs[0].Out
 		c, h, w := in.Size(1), in.Size(2), in.Size(3)
@@ -132,13 +124,12 @@ func InputRegions(op *Op, out tensor.Region) []tensor.Region {
 		// The numeric executor gathers exact elements by index instead.
 		feat := out.Iv[1]
 		if feat.Len() == c*h*w {
-			return []tensor.Region{{Iv: []tensor.Interval{
-				out.Iv[0], {Lo: 0, Hi: c}, {Lo: 0, Hi: h}, {Lo: 0, Hi: w},
-			}}}
+			iv = append(iv, out.Iv[0], tensor.Interval{Lo: 0, Hi: c}, tensor.Interval{Lo: 0, Hi: h}, tensor.Interval{Lo: 0, Hi: w})
+			break
 		}
 		cLo := feat.Lo / (h * w)
 		cHi := (feat.Hi-1)/(h*w) + 1
-		iv := []tensor.Interval{out.Iv[0], {Lo: cLo, Hi: cHi}, {Lo: 0, Hi: h}, {Lo: 0, Hi: w}}
+		iv = append(iv, out.Iv[0], tensor.Interval{Lo: cLo, Hi: cHi}, tensor.Interval{Lo: 0, Hi: h}, tensor.Interval{Lo: 0, Hi: w})
 		if cHi-cLo == 1 {
 			// Within one channel plane we can tighten the h range too.
 			rem := tensor.Interval{Lo: feat.Lo - cLo*h*w, Hi: feat.Hi - cLo*h*w}
@@ -149,10 +140,10 @@ func InputRegions(op *Op, out tensor.Region) []tensor.Region {
 				iv[3] = tensor.Interval{Lo: rem.Lo - hLo*w, Hi: rem.Hi - hLo*w}
 			}
 		}
-		return []tensor.Region{{Iv: iv}}
 	default:
 		panic(fmt.Sprintf("graph: InputRegions for unknown kind %v", op.Kind))
 	}
+	return tensor.Region{Iv: iv}
 }
 
 // receptive maps an output interval through a conv/pool geometry to the

@@ -113,3 +113,30 @@ func TestInputRegionsSigAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestInputRegionReusesBuffer pins InputRegion, the builder's per-input
+// query, to InputRegions for every op kind and input, with one buffer
+// reused across every call (as the builder reuses it): same regions,
+// and no allocation once the buffer covers the rank.
+func TestInputRegionReusesBuffer(t *testing.T) {
+	g := sigTestGraph()
+	rng := rand.New(rand.NewSource(9))
+	buf := make([]tensor.Interval, 0, 8)
+	for _, op := range g.Ops {
+		if op.Kind == Input {
+			continue
+		}
+		for trial := 0; trial < 50; trial++ {
+			r := randomSubRegion(op, rng)
+			for i, want := range InputRegions(op, r) {
+				got := InputRegion(op, r, i, buf)
+				if !got.Equal(want) {
+					t.Fatalf("%s (%v) region %v input %d: InputRegion %v != InputRegions %v", op.Name, op.Kind, r, i, got, want)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { InputRegion(op, r, i, buf) }); allocs != 0 {
+					t.Fatalf("%s (%v): InputRegion with a buffer allocates %.1f per run", op.Name, op.Kind, allocs)
+				}
+			}
+		}
+	}
+}

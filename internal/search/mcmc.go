@@ -22,10 +22,13 @@
 // down in docs/CONCURRENCY.md.
 //
 // MCMC runs its independent chains (one per initial strategy, Section
-// 8.1) across that pool. The structure is
-// compiled once per distinct initial strategy into an immutable
-// taskgraph.Plan whose base timeline is simulated once; each chain then
-// owns a private Plan.Instance and a sim.State cloned from the base —
+// 8.1) across that pool. The structure is compiled once per distinct
+// initial strategy into an immutable taskgraph.Plan whose base timeline
+// is simulated once — on the worker of whichever chain starting from
+// that strategy gets there first, so distinct initials compile in
+// parallel and a chain starts walking as soon as its own plan is ready;
+// each chain then owns a private Plan.Instance and a sim.State cloned
+// from the base —
 // mutable simulator state is never shared between goroutines, only the
 // frozen plan is — and draws from a private RNG whose seed is derived
 // up front from Options.Seed and the chain index, so the random walk of
@@ -55,7 +58,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime/trace"
 	"sort"
+	"sync"
 	"time"
 
 	"flexflow/internal/config"
@@ -264,34 +269,32 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 	if topo.NumDevices() > 0 {
 		topo.Route(0, 0)
 	}
-	// Compile one immutable Plan (plus its simulated base timeline) per
-	// distinct initial strategy, up front and sequentially: chains that
-	// start from the same strategy share the compiled structure and the
-	// base timeline read-only, and per-chain setup drops to a structural
-	// clone + state copy (Plan.Instance + State.CloneFor) instead of a
-	// full Build + Simulate.
-	compiled := make([]chainStart, len(initials))
+	// One immutable Plan (plus its simulated base timeline) per distinct
+	// initial strategy: chains that start from the same strategy share
+	// one slot, hence the compiled structure and the base timeline
+	// read-only, and per-chain setup drops to a structural clone + state
+	// copy (Plan.Instance + State.CloneFor) instead of a full Build +
+	// Simulate. The slot is filled on the chain's own worker, not up
+	// front, so distinct initials compile concurrently and each chain
+	// starts walking (and emits its Iter-0 event) once its own plan is
+	// ready.
+	slots := make([]*planSlot, len(initials))
 	for i, init := range initials {
-		shared := -1
 		for j := 0; j < i; j++ {
 			if initials[j].Equal(init) {
-				shared = j
+				slots[i] = slots[j]
 				break
 			}
 		}
-		if shared >= 0 {
-			compiled[i] = compiled[shared]
-			continue
+		if slots[i] == nil {
+			slots[i] = &planSlot{init: init}
 		}
-		plan := taskgraph.Compile(g, topo, init.Clone(), est, opts.TaskOpts)
-		base := sim.NewState(plan.Base())
-		base.Simulate()
-		compiled[i] = chainStart{plan: plan, base: base}
 	}
 	results := make([]Result, len(initials))
 	par.ForEach(opts.Workers, len(initials), func(i int) {
+		start0 := slots[i].get(ctx, g, topo, est, opts.TaskOpts)
 		rng := rand.New(rand.NewSource(chainSeed(opts.Seed, i)))
-		results[i] = runChain(ctx, g, topo, est, initials[i], compiled[i], i, opts, rng)
+		results[i] = runChain(ctx, g, topo, est, initials[i], start0, i, opts, rng)
 	})
 	// Merge in chain-index order, so ties between chains resolve the
 	// same way no matter which worker finished first.
@@ -320,6 +323,39 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 type chainStart struct {
 	plan *taskgraph.Plan
 	base *sim.State
+}
+
+// planSlot compiles one distinct initial strategy's chainStart exactly
+// once, on the worker of the first chain that asks for it; chains with
+// an equal initial block until it is ready and share it. Only Compile
+// and one Simulate run under the once — no nested pool work — so a
+// waiting worker always waits on a body that can finish. A panicking
+// compile (an invalid strategy) is recorded and re-raised in every
+// chain of the slot, so none is left with an empty plan and the pool
+// surfaces the original panic whichever chain it sees first.
+type planSlot struct {
+	init     *config.Strategy
+	once     sync.Once
+	start    chainStart
+	panicked any
+}
+
+// get returns the slot's chainStart, compiling it on first use. The
+// work runs inside a search.compile trace region (free when tracing is
+// off), one per distinct initial.
+func (s *planSlot) get(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, opts taskgraph.Options) chainStart {
+	s.once.Do(func() {
+		defer func() { s.panicked = recover() }()
+		defer trace.StartRegion(ctx, "search.compile").End()
+		plan := taskgraph.Compile(g, topo, s.init.Clone(), est, opts)
+		base := sim.NewState(plan.Base())
+		base.Simulate()
+		s.start = chainStart{plan: plan, base: base}
+	})
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+	return s.start
 }
 
 func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, init *config.Strategy, start0 chainStart, chain int, opts Options, rng *rand.Rand) Result {

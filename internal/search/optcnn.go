@@ -91,16 +91,18 @@ func syncCost(op *graph.Op, c *config.Config, topo *device.Topology) time.Durati
 // consumer config: transfers grouped per link, the busiest link's time.
 func edgeCost(prod *graph.Op, pc *config.Config, cons *graph.Op, cc *config.Config, inputIdx int, topo *device.Topology) time.Duration {
 	perLink := map[int]int64{}
-	for ck := 0; ck < cc.NumTasks(); ck++ {
-		need := graph.InputRegions(cons, gridRegion(cons, cc, ck))[inputIdx]
+	prodRegions := tensor.Partition(prod.Out, pc.Degrees)
+	var buf [4]tensor.Interval
+	for ck, outRegion := range tensor.Partition(cons.Out, cc.Degrees) {
+		need := graph.InputRegion(cons, outRegion, inputIdx, buf[:0])
 		if need.Empty() {
 			continue
 		}
-		for pk := 0; pk < pc.NumTasks(); pk++ {
+		for pk, region := range prodRegions {
 			if pc.Devices[pk] == cc.Devices[ck] {
 				continue
 			}
-			vol := gridRegion(prod, pc, pk).Intersect(need).Volume()
+			vol := region.IntersectVolume(need)
 			if vol == 0 {
 				continue
 			}

@@ -67,7 +67,7 @@ func (p *Plan) Instance() *TaskGraph { return p.base.clone() }
 // materialize. Tasks is cut with its capacity pinned to its length so
 // the instance's first task append reallocates instead of writing the
 // base's spare capacity. Sharing is safe because tasks are immutable,
-// the base is frozen (never written), and reindex pinned every
+// the base is frozen (never written), and layout pinned every
 // adjacency row's capacity to its length.
 func (tg *TaskGraph) clone() *TaskGraph {
 	return &TaskGraph{

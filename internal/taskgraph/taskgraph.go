@@ -118,8 +118,8 @@ func (t *Task) ScheduleKey(numDevices int) int {
 // ready time or releasing successors touches a handful of dense cache
 // lines rather than one scattered Task struct per edge.
 //
-// Invariants, maintained incrementally by the builder and
-// ReplaceConfig and packed contiguously by Build/Manual:
+// Invariants, laid out contiguously once by Build/Manual and
+// maintained incrementally by ReplaceConfig:
 //
 //   - ID[slot] is the live task's ID at that slot, or -1 while the
 //     slot is free. Because IDs are unique forever and slots are
@@ -168,8 +168,9 @@ type Adj struct {
 	inOwned, outOwned []bool
 }
 
-// noteNew registers a freshly created task, growing the arrays to
-// cover its slot and resetting any recycled rows.
+// noteNew registers a task ReplaceConfig creates, growing the arrays
+// to cover its slot and resetting any recycled rows. (Build and Manual
+// never come here: layout sizes the arrays once for all their tasks.)
 func (a *Adj) noteNew(t *Task, key int) {
 	for len(a.ID) <= t.Slot {
 		a.In = append(a.In, nil)
@@ -302,6 +303,13 @@ type TaskGraph struct {
 	// is maintained through every ReplaceConfig.
 	adj Adj
 
+	// bulk marks a graph under construction by Build or Manual: newTask
+	// only records the task and dep stages each edge as a (from, to)
+	// slot pair in edges, and layout then sizes the Adj arrays and rows
+	// once for the whole graph instead of growing them task by task.
+	bulk  bool
+	edges []int32
+
 	// shared marks an Instance still aliasing its frozen base Plan's
 	// arrays; the first structural mutation calls materialize to
 	// privatize them (copy-on-write).
@@ -391,6 +399,7 @@ func Build(g *graph.Graph, topo *device.Topology, strat *config.Strategy, est pe
 		bwd:      make([][]*Task, g.NumOps()),
 		extras:   make([][]*Task, g.NumOps()),
 		edgeComm: make(map[[2]int][]*Task),
+		bulk:     true,
 	}
 	for _, op := range g.ComputeOps() {
 		tg.buildComputeTasks(op)
@@ -403,9 +412,9 @@ func Build(g *graph.Graph, topo *device.Topology, strat *config.Strategy, est pe
 		}
 		tg.buildSync(op)
 	}
-	// Repack the incrementally grown adjacency rows into one contiguous
-	// CSR backing array: paid once per Build, read by every simulation.
-	tg.reindex()
+	// Lay the staged edges out as one contiguous CSR backing array:
+	// paid once per Build, read by every simulation.
+	tg.layout()
 	return tg
 }
 
@@ -425,7 +434,9 @@ func (tg *TaskGraph) newTask(t *Task) *Task {
 		tg.numSlots++
 	}
 	tg.Tasks = append(tg.Tasks, t)
-	tg.adj.noteNew(t, t.ScheduleKey(tg.Topo.NumDevices()))
+	if !tg.bulk {
+		tg.adj.noteNew(t, t.ScheduleKey(tg.Topo.NumDevices()))
+	}
 	return t
 }
 
@@ -434,9 +445,13 @@ func (tg *TaskGraph) newTask(t *Task) *Task {
 func (tg *TaskGraph) NumSlots() int { return tg.numSlots }
 
 // dep wires a dependency into the slot-indexed adjacency rows — the
-// single adjacency representation. Every builder edge goes through
-// here.
+// single adjacency representation — or, during a bulk build, stages it
+// for layout. Every builder edge goes through here.
 func (tg *TaskGraph) dep(from, to *Task) {
+	if tg.bulk {
+		tg.edges = append(tg.edges, int32(from.Slot), int32(to.Slot))
+		return
+	}
 	tg.adj.Out[from.Slot] = append(tg.adj.Out[from.Slot], int32(to.Slot))
 	tg.adj.In[to.Slot] = append(tg.adj.In[to.Slot], int32(from.Slot))
 }
@@ -452,7 +467,7 @@ func Connect(from, to *Task) { from.staged = append(from.staged, to) }
 // are assigned in slice order. Dependencies (Connect) must already be
 // wired when Manual is called.
 func Manual(topo *device.Topology, tasks []*Task) *TaskGraph {
-	tg := &TaskGraph{Topo: topo, edgeComm: make(map[[2]int][]*Task)}
+	tg := &TaskGraph{Topo: topo, edgeComm: make(map[[2]int][]*Task), bulk: true}
 	for _, t := range tasks {
 		tg.newTask(t)
 	}
@@ -462,48 +477,68 @@ func Manual(topo *device.Topology, tasks []*Task) *TaskGraph {
 		}
 		t.staged = nil
 	}
-	tg.reindex()
+	tg.layout()
 	return tg
 }
 
-// reindex repacks the incrementally grown adjacency rows into one
-// contiguous backing array (the CSR layout the simulator sweeps).
-// Rows are cut with their capacity pinned to their length, which is
-// also what makes copy-on-write sharing safe: a later incremental
-// append (ReplaceConfig rewiring a survivor — in this graph or in an
-// Instance sharing the backing) reallocates that row instead of
-// clobbering its neighbour.
-func (tg *TaskGraph) reindex() {
+// layout ends a bulk build: it sizes the slot-indexed Adj arrays once
+// for every task and lays the staged edges out as CSR rows in one
+// contiguous backing array, slot by slot, each slot's In row before its
+// Out row — the layout the simulator sweeps. A counting pass sizes the
+// rows and a fill pass in staging order keeps each row's entries in the
+// order dep wired them, exactly as per-row appends would have. Rows are
+// cut with their capacity pinned to their length, which is also what
+// makes copy-on-write sharing safe: a later incremental append
+// (ReplaceConfig rewiring a survivor — in this graph or in an Instance
+// sharing the backing) reallocates that row instead of clobbering its
+// neighbour. A bulk build recycles no slots, so every slot is live.
+func (tg *TaskGraph) layout() {
+	n := tg.numSlots
+	numDevices := tg.Topo.NumDevices()
 	a := &tg.adj
-	total := 0
-	for slot := 0; slot < tg.numSlots; slot++ {
-		if a.ID[slot] >= 0 {
-			total += len(a.In[slot]) + len(a.Out[slot])
-		}
+	a.ID = make([]int32, n)
+	a.Exe = make([]time.Duration, n)
+	a.Key = make([]int32, n)
+	a.Task = make([]*Task, n)
+	for _, t := range tg.Tasks {
+		a.ID[t.Slot] = int32(t.ID)
+		a.Exe[t.Slot] = t.Exe
+		a.Key[t.Slot] = int32(t.ScheduleKey(numDevices))
+		a.Task[t.Slot] = t
 	}
-	backing := make([]int32, 0, total)
-	newIn := make([][]int32, tg.numSlots)
-	newOut := make([][]int32, tg.numSlots)
-	for slot := 0; slot < tg.numSlots; slot++ {
-		if a.ID[slot] < 0 {
-			continue
-		}
-		lo := len(backing)
-		backing = append(backing, a.In[slot]...)
-		newIn[slot] = backing[lo:len(backing):len(backing)]
-		lo = len(backing)
-		backing = append(backing, a.Out[slot]...)
-		newOut[slot] = backing[lo:len(backing):len(backing)]
+	// Row r is slot r/2's In row (r even) or Out row (r odd). end[r]
+	// first counts the row's entries, then holds its start as the fill
+	// cursor, and after the fill its end — the next row's start.
+	edges := tg.edges
+	end := make([]int32, 2*n)
+	for e := 0; e < len(edges); e += 2 {
+		end[2*edges[e]+1]++ // from's Out row
+		end[2*edges[e+1]]++ // to's In row
 	}
-	a.In = newIn
-	a.Out = newOut
+	var pos int32
+	for r, cnt := range end {
+		end[r] = pos
+		pos += cnt
+	}
+	backing := make([]int32, len(edges))
+	for e := 0; e < len(edges); e += 2 {
+		from, to := edges[e], edges[e+1]
+		backing[end[2*from+1]] = to
+		end[2*from+1]++
+		backing[end[2*to]] = from
+		end[2*to]++
+	}
+	a.In = make([][]int32, n)
+	a.Out = make([][]int32, n)
+	var lo int32
+	for slot := 0; slot < n; slot++ {
+		mid, hi := end[2*slot], end[2*slot+1]
+		a.In[slot] = backing[lo:mid:mid]
+		a.Out[slot] = backing[mid:hi:hi]
+		lo = hi
+	}
 	a.inOwned, a.outOwned = nil, nil
-}
-
-// regionOf returns the output region of task index k of op.
-func (tg *TaskGraph) regionOf(op *graph.Op, k int) tensor.Region {
-	c := tg.Strat.Config(op.ID)
-	return tensor.GridRegion(op.Out, c.Degrees, k)
+	tg.bulk, tg.edges = false, nil
 }
 
 // buildComputeTasks creates the forward (and backward) compute tasks of
@@ -511,14 +546,14 @@ func (tg *TaskGraph) regionOf(op *graph.Op, k int) tensor.Region {
 func (tg *TaskGraph) buildComputeTasks(op *graph.Op) {
 	c := tg.Strat.Config(op.ID)
 	n := c.NumTasks()
+	regions := tensor.Partition(op.Out, c.Degrees)
 	fwd := make([]*Task, n)
 	for k := 0; k < n; k++ {
-		region := tensor.GridRegion(op.Out, c.Degrees, k)
 		dev := tg.Topo.Device(c.Devices[k])
 		fwd[k] = tg.newTask(&Task{
 			Kind: Compute, Op: op, Pass: perfmodel.Forward, Index: k,
 			Device: c.Devices[k], Link: -1,
-			Exe: tg.Est.ExecTime(op, region, dev, perfmodel.Forward),
+			Exe: tg.Est.ExecTime(op, regions[k], dev, perfmodel.Forward),
 		})
 	}
 	tg.fwd[op.ID] = fwd
@@ -528,12 +563,11 @@ func (tg *TaskGraph) buildComputeTasks(op *graph.Op) {
 	}
 	bwd := make([]*Task, n)
 	for k := 0; k < n; k++ {
-		region := tensor.GridRegion(op.Out, c.Degrees, k)
 		dev := tg.Topo.Device(c.Devices[k])
 		bwd[k] = tg.newTask(&Task{
 			Kind: Compute, Op: op, Pass: perfmodel.Backward, Index: k,
 			Device: c.Devices[k], Link: -1,
-			Exe: tg.Est.ExecTime(op, region, dev, perfmodel.Backward),
+			Exe: tg.Est.ExecTime(op, regions[k], dev, perfmodel.Backward),
 		})
 		tg.dep(fwd[k], bwd[k])
 	}
@@ -546,6 +580,12 @@ func (tg *TaskGraph) buildComputeTasks(op *graph.Op) {
 // sub-tensors, a direct dependency if co-located, otherwise a
 // communication task on the connection between their devices. The
 // backward pass mirrors each transfer in the reverse direction.
+//
+// The edge is the builder's hot loop — every consumer task against
+// every producer task — so it allocates per edge, not per pair: both
+// grids are partitioned once, each consumer task's input region is
+// written into one reused buffer, and overlaps are priced with
+// IntersectVolume instead of materialized.
 func (tg *TaskGraph) buildEdge(prod, cons *graph.Op) {
 	key := [2]int{prod.ID, cons.ID}
 	inputIdx := -1
@@ -559,16 +599,16 @@ func (tg *TaskGraph) buildEdge(prod, cons *graph.Op) {
 		panic(fmt.Sprintf("taskgraph: %q does not consume %q", cons.Name, prod.Name))
 	}
 	var comms []*Task
-	consCfg := tg.Strat.Config(cons.ID)
-	for ck := 0; ck < consCfg.NumTasks(); ck++ {
-		outRegion := tg.regionOf(cons, ck)
-		need := graph.InputRegions(cons, outRegion)[inputIdx]
+	prodRegions := tensor.Partition(prod.Out, tg.Strat.Config(prod.ID).Degrees)
+	consRegions := tensor.Partition(cons.Out, tg.Strat.Config(cons.ID).Degrees)
+	var buf [4]tensor.Interval
+	for ck, outRegion := range consRegions {
+		need := graph.InputRegion(cons, outRegion, inputIdx, buf[:0])
 		if need.Empty() {
 			continue
 		}
 		for pk, pt := range tg.fwd[prod.ID] {
-			share := tg.regionOf(prod, pk).Intersect(need)
-			vol := share.Volume()
+			vol := prodRegions[pk].IntersectVolume(need)
 			if vol == 0 {
 				continue
 			}
@@ -629,12 +669,17 @@ func (tg *TaskGraph) buildSync(op *graph.Op) {
 	// dimension coordinates accumulate gradients for the same shard.
 	shards := map[int][]*Task{}
 	for k, bt := range tg.bwd[op.ID] {
-		coords := tensor.GridCoords(c.Degrees, k)
-		shardID := 0
-		for i, d := range c.Degrees {
+		// The shard ID folds the Parameter-dimension grid coordinates
+		// row-major; decoding k from its last dimension (as GridCoords
+		// does) builds the same number without materializing them.
+		shardID, scale, rest := 0, 1, k
+		for i := len(c.Degrees) - 1; i >= 0; i-- {
+			d := c.Degrees[i]
 			if op.Out.Kind(i) == tensor.Parameter {
-				shardID = shardID*d + coords[i]
+				shardID += rest % d * scale
+				scale *= d
 			}
+			rest /= d
 		}
 		shards[shardID] = append(shards[shardID], bt)
 	}

@@ -241,8 +241,29 @@ func (r Region) Intersect(o Region) Region {
 	return out
 }
 
+// IntersectVolume returns Intersect(o).Volume() without materializing
+// the intersection: the allocation-free way to price an overlap. Like
+// Intersect, it panics on rank mismatch.
+func (r Region) IntersectVolume(o Region) int64 {
+	if len(r.Iv) != len(o.Iv) {
+		panic(fmt.Sprintf("tensor: intersecting regions of rank %d and %d", len(r.Iv), len(o.Iv)))
+	}
+	if len(r.Iv) == 0 {
+		return 0
+	}
+	v := int64(1)
+	for i := range r.Iv {
+		n := r.Iv[i].Intersect(o.Iv[i]).Len()
+		if n <= 0 {
+			return 0
+		}
+		v *= int64(n)
+	}
+	return v
+}
+
 // Overlaps reports whether two regions share at least one element.
-func (r Region) Overlaps(o Region) bool { return !r.Intersect(o).Empty() }
+func (r Region) Overlaps(o Region) bool { return r.IntersectVolume(o) > 0 }
 
 // Contains reports whether o is entirely inside r.
 func (r Region) Contains(o Region) bool {
@@ -326,12 +347,21 @@ func GridRegion(s Shape, degrees []int, k int) Region {
 	if len(degrees) != s.Rank() {
 		panic(fmt.Sprintf("tensor: GridRegion degrees rank %d != shape rank %d", len(degrees), s.Rank()))
 	}
-	coords := GridCoords(degrees, k)
-	r := Region{Iv: make([]Interval, s.Rank())}
-	for i := range degrees {
-		r.Iv[i] = SplitInterval(s.Size(i), degrees[i], coords[i])
+	return Region{Iv: gridIntervals(make([]Interval, len(degrees)), s, degrees, k)}
+}
+
+// gridIntervals fills iv (one entry per dimension) with the intervals
+// of grid cell k, decoding the flat index row-major as GridCoords does
+// but without allocating the coordinates.
+func gridIntervals(iv []Interval, s Shape, degrees []int, k int) []Interval {
+	for i := len(degrees) - 1; i >= 0; i-- {
+		iv[i] = SplitInterval(s.Size(i), degrees[i], k%degrees[i])
+		k /= degrees[i]
 	}
-	return r
+	if k != 0 {
+		panic("tensor: GridCoords flat index out of range")
+	}
+	return iv
 }
 
 // GridCoords converts flat index k into per-dimension grid coordinates
@@ -361,11 +391,18 @@ func GridIndex(degrees, coords []int) int {
 }
 
 // Partition returns all grid regions for the degree grid, in flat order.
+// The regions share one backing array (two allocations in all), each
+// cut with its capacity pinned to its rank so an append to one region
+// never writes into its neighbour.
 func Partition(s Shape, degrees []int) []Region {
-	n := GridVolume(degrees)
+	if len(degrees) != s.Rank() {
+		panic(fmt.Sprintf("tensor: Partition degrees rank %d != shape rank %d", len(degrees), s.Rank()))
+	}
+	n, r := GridVolume(degrees), len(degrees)
 	out := make([]Region, n)
-	for k := 0; k < n; k++ {
-		out[k] = GridRegion(s, degrees, k)
+	iv := make([]Interval, n*r)
+	for k := range out {
+		out[k] = Region{Iv: gridIntervals(iv[k*r:(k+1)*r:(k+1)*r], s, degrees, k)}
 	}
 	return out
 }

@@ -301,6 +301,71 @@ func TestGridPanics(t *testing.T) {
 	}()
 }
 
+// Property: IntersectVolume prices exactly what Intersect materializes —
+// Intersect(o).Volume() — on random regions, overlapping, touching,
+// disjoint and empty alike, and it allocates nothing.
+func TestIntersectVolumeProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randRegion := func(rank int) Region {
+		r := Region{Iv: make([]Interval, rank)}
+		for i := range r.Iv {
+			lo := rng.Intn(12) - 2
+			r.Iv[i] = Interval{lo, lo + rng.Intn(10) - 1}
+		}
+		return r
+	}
+	for trial := 0; trial < 2000; trial++ {
+		rank := rng.Intn(5)
+		a, b := randRegion(rank), randRegion(rank)
+		want := a.Intersect(b).Volume()
+		if got := a.IntersectVolume(b); got != want {
+			t.Fatalf("trial %d: %v.IntersectVolume(%v) = %d, want %d", trial, a, b, got, want)
+		}
+		if got := b.IntersectVolume(a); got != want {
+			t.Fatalf("trial %d: IntersectVolume not symmetric: %d vs %d", trial, got, want)
+		}
+		if a.Overlaps(b) != (want > 0) {
+			t.Fatalf("trial %d: Overlaps = %v with intersection volume %d", trial, a.Overlaps(b), want)
+		}
+	}
+	a := Region{Iv: []Interval{{0, 4}, {0, 6}}}
+	b := Region{Iv: []Interval{{2, 8}, {3, 9}}}
+	if n := testing.AllocsPerRun(100, func() { a.IntersectVolume(b) }); n != 0 {
+		t.Fatalf("IntersectVolume allocates %v times per call", n)
+	}
+}
+
+func TestRegionIntersectVolumeRankMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rank-mismatched IntersectVolume did not panic")
+		}
+	}()
+	a := Region{Iv: []Interval{{0, 4}}}
+	b := Region{Iv: []Interval{{0, 4}, {0, 4}}}
+	a.IntersectVolume(b)
+}
+
+// Partition is GridRegion at every flat index, with each region's
+// capacity pinned so appending to one cannot overwrite the next.
+func TestPartitionMatchesGridRegion(t *testing.T) {
+	s := MakeShape(D("n", 7, Sample), D("c", 5, Parameter), D("h", 3, Attribute))
+	degrees := []int{3, 2, 3}
+	regions := Partition(s, degrees)
+	for k, r := range regions {
+		if want := GridRegion(s, degrees, k); !r.Equal(want) {
+			t.Fatalf("Partition[%d] = %v, want GridRegion %v", k, r, want)
+		}
+		if cap(r.Iv) != len(r.Iv) {
+			t.Fatalf("Partition[%d] capacity %d not pinned to rank %d", k, cap(r.Iv), len(r.Iv))
+		}
+	}
+	_ = append(regions[0].Iv, Interval{})
+	if !regions[1].Equal(GridRegion(s, degrees, 1)) {
+		t.Fatal("appending to one partition region clobbered its neighbour")
+	}
+}
+
 // Property: Partition produces a disjoint cover of the full shape.
 func TestPartitionDisjointCoverProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

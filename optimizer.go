@@ -193,6 +193,19 @@ func checkProblem(p Problem) (Problem, error) {
 	return p, nil
 }
 
+// checkInitial rejects an OptimizeOptions.Initial that does not fit the
+// problem's graph and topology, before any optimizer compiles it (the
+// task-graph builder panics on an invalid strategy).
+func checkInitial(p Problem, o OptimizeOptions) error {
+	if o.Initial == nil {
+		return nil
+	}
+	if err := o.Initial.Validate(p.Graph, p.Topology); err != nil {
+		return fmt.Errorf("flexflow: invalid initial strategy: %w", err)
+	}
+	return nil
+}
+
 // enumFor derives the candidate-enumeration bound shared by the
 // enumerating optimizers.
 func enumFor(p Problem, o OptimizeOptions, defaultMaxDegree int) config.EnumOptions {
@@ -214,6 +227,9 @@ func (mcmcOptimizer) Name() string { return "mcmc" }
 
 func (mcmcOptimizer) Optimize(ctx context.Context, p Problem, o OptimizeOptions) (Result, error) {
 	p, err := checkProblem(p)
+	if err == nil {
+		err = checkInitial(p, o)
+	}
 	if err != nil {
 		return Result{Algorithm: "mcmc"}, err
 	}
@@ -348,6 +364,9 @@ func (polishOptimizer) Name() string { return "polish" }
 
 func (polishOptimizer) Optimize(ctx context.Context, p Problem, o OptimizeOptions) (Result, error) {
 	p, err := checkProblem(p)
+	if err == nil {
+		err = checkInitial(p, o)
+	}
 	if err != nil {
 		return Result{Algorithm: "polish"}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,6 +90,34 @@ func TestOptimizeRejectsEmptyProblem(t *testing.T) {
 		}
 		if _, err := opt.Optimize(context.Background(), Problem{}, OptimizeOptions{}); err == nil {
 			t.Fatalf("%s: empty problem did not error", name)
+		}
+	}
+}
+
+// TestOptimizeRejectsInvalidInitial pins the API boundary for seeded
+// searches: an Initial that does not fit the problem — a task on a
+// device the topology lacks, or a degree vector of the wrong rank — is
+// an error from Optimize, never a panic from the task-graph builder.
+func TestOptimizeRejectsInvalidInitial(t *testing.T) {
+	p := registryProblem()
+	conv := p.Graph.ComputeOps()[0]
+	wrongDevice := DataParallel(p.Graph, p.Topology)
+	wrongDevice.Set(conv.ID, &Config{Degrees: []int{1, 1, 1, 1}, Devices: []int{7}})
+	wrongDegree := DataParallel(p.Graph, p.Topology)
+	wrongDegree.Set(conv.ID, &Config{Degrees: []int{2, 1}, Devices: []int{0, 1}})
+	for _, name := range []string{"mcmc", "polish"} {
+		opt, err := GetOptimizer(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, initial := range map[string]*Strategy{"wrong device": wrongDevice, "wrong degree": wrongDegree} {
+			res, err := opt.Optimize(context.Background(), p, OptimizeOptions{MaxIters: 20, Initial: initial})
+			if err == nil || !strings.Contains(err.Error(), "invalid initial strategy") {
+				t.Errorf("%s, %s initial: err = %v, want an invalid-initial error", name, label, err)
+			}
+			if res.Algorithm != name || res.Best != nil {
+				t.Errorf("%s, %s initial: result %+v, want an empty %s result", name, label, res, name)
+			}
 		}
 	}
 }
