@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"flexflow/internal/tensor"
 )
@@ -133,12 +134,18 @@ func (g *Graph) Validate() error {
 		if op.Out.Rank() == 0 {
 			return fmt.Errorf("graph %q: op %q has empty output shape", g.Name, op.Name)
 		}
+		if !sizeFits(op.Out) {
+			return fmt.Errorf("graph %q: op %q output %v has a non-positive dim or overflows int64 bytes", g.Name, op.Name, op.Out)
+		}
 		for _, in := range op.Inputs {
 			if !seen[in.ID] {
 				return fmt.Errorf("graph %q: op %q consumes op %q that does not precede it", g.Name, op.Name, in.Name)
 			}
 		}
 		if op.Kind != Input {
+			if err := checkWiring(op); err != nil {
+				return fmt.Errorf("graph %q: %w", g.Name, err)
+			}
 			full := op.Out.FullRegion()
 			regions := InputRegions(op, full)
 			if len(regions) != len(op.Inputs) {
@@ -157,6 +164,20 @@ func (g *Graph) Validate() error {
 		seen[op.ID] = true
 	}
 	return nil
+}
+
+// sizeFits reports whether every dim of s is positive and its byte size
+// fits an int64, so that no region or volume arithmetic over it can
+// overflow or divide by zero.
+func sizeFits(s tensor.Shape) bool {
+	v := int64(tensor.ElemBytes)
+	for _, d := range s.Dims {
+		if d.Size <= 0 || v > math.MaxInt64/int64(d.Size) {
+			return false
+		}
+		v *= int64(d.Size)
+	}
+	return true
 }
 
 // String summarizes the graph: name, op and weight counts, FLOPs per

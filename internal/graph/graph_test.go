@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 
 	"flexflow/internal/tensor"
@@ -454,5 +455,51 @@ func TestInputRegionMonotonicity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestValidateMiswiredOps asserts Validate reports, and never panics on,
+// an op whose input count or ranks do not fit its kind: every kind is
+// wired with 0-3 inputs of ranks 1-4 and an output of rank 1-4, as a
+// deserialized graph may be. An output too large for int64 bytes is an
+// error too.
+func TestValidateMiswiredOps(t *testing.T) {
+	shape := func(rank int) tensor.Shape {
+		dims := make([]tensor.Dim, rank)
+		for i := range dims {
+			dims[i] = tensor.D("d", 4, tensor.Attribute)
+		}
+		return tensor.MakeShape(dims...)
+	}
+	for kind := Conv2D; int(kind) < len(opKindNames); kind++ {
+		for inputs := 0; inputs <= 3; inputs++ {
+			for inRank := 1; inRank <= 4; inRank++ {
+				for outRank := 1; outRank <= 4; outRank++ {
+					g := New("miswired")
+					op := &Op{Kind: kind, Name: "op", Out: shape(outRank), KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
+					for i := 0; i < inputs; i++ {
+						in := &Op{Kind: Input, Name: fmt.Sprint("in", i), Out: shape(inRank)}
+						g.Append(in)
+						op.Inputs = append(op.Inputs, in)
+					}
+					g.Append(op)
+					func() {
+						defer func() {
+							if p := recover(); p != nil {
+								t.Errorf("%v with %d rank-%d inputs, rank-%d output: Validate panicked: %v", kind, inputs, inRank, outRank, p)
+							}
+						}()
+						g.Validate()
+					}()
+				}
+			}
+		}
+	}
+
+	g := New("overflow")
+	big := tensor.MakeShape(tensor.D("a", 1<<32, tensor.Sample), tensor.D("b", 1<<32, tensor.Attribute))
+	g.Append(&Op{Kind: Input, Name: "x", Out: big})
+	if err := g.Validate(); err == nil {
+		t.Fatal("a 2^64-element output validated")
 	}
 }

@@ -39,6 +39,53 @@ func InputRegions(op *Op, out tensor.Region) []tensor.Region {
 	return regions
 }
 
+// checkWiring rejects an op whose input count or tensor ranks are too
+// small for InputRegion to index: each bound below is exactly what its
+// kind's case reads. The builders always wire ops correctly, but a
+// deserialized graph may not, and Graph.Validate must report it as an
+// error before it calls InputRegions. Whether the regions then fit the
+// inputs is Validate's own check.
+func checkWiring(op *Op) error {
+	// inputs is the fewest inputs the kind reads; out and in[i] are the
+	// least ranks of the output and of input i.
+	inputs, out, in := 0, 1, []int(nil)
+	switch op.Kind {
+	case Conv2D, Pool2D:
+		inputs, out, in = 1, 4, []int{4}
+	case MatMul, Softmax:
+		inputs, in = 1, []int{2}
+	case Embedding:
+		out = 2
+	case LSTM:
+		inputs, in = 1, []int{2, 2}
+	case Attention:
+		inputs, in = 2, []int{2, 3}
+	case Stack:
+		out = 3
+	case Concat:
+		if op.ConcatDim < 0 || op.ConcatDim >= op.Out.Rank() {
+			return fmt.Errorf("op %q concatenates along dim %d of a rank-%d output", op.Name, op.ConcatDim, op.Out.Rank())
+		}
+		for range op.Inputs {
+			in = append(in, op.ConcatDim+1)
+		}
+	case Flatten:
+		inputs, out, in = 1, 2, []int{4}
+	}
+	if len(op.Inputs) < inputs {
+		return fmt.Errorf("op %q (%v) has %d inputs, needs %d", op.Name, op.Kind, len(op.Inputs), inputs)
+	}
+	if op.Out.Rank() < out {
+		return fmt.Errorf("op %q (%v) has a rank-%d output, needs rank %d", op.Name, op.Kind, op.Out.Rank(), out)
+	}
+	for i, p := range op.Inputs {
+		if i < len(in) && p.Out.Rank() < in[i] {
+			return fmt.Errorf("op %q (%v) input %d has rank %d, needs rank %d", op.Name, op.Kind, i, p.Out.Rank(), in[i])
+		}
+	}
+	return nil
+}
+
 // InputRegion is InputRegions(op, out)[i]: the region of input i alone,
 // with one interval per dimension written into iv's backing when its
 // capacity suffices (allocated otherwise). A caller that reuses one

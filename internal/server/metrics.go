@@ -25,6 +25,13 @@ type metrics struct {
 	// every request when caching is disabled, perform no lookup).
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
+	// indexHits / indexMisses count request-index lookups (a hit is
+	// answered without decoding the body and also counts as a cache
+	// hit; a known body whose strategy was since evicted counts as a
+	// miss). Every request that reads its body performs one when
+	// caching is enabled.
+	indexHits   atomic.Int64
+	indexMisses atomic.Int64
 	// jobPanics counts searches that panicked (and answered 500).
 	jobPanics atomic.Int64
 	// proposals and searchNS accumulate every finished search's work;
@@ -54,6 +61,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "flexflowd_cache_entries %d\n", entries)
 	fmt.Fprintf(w, "flexflowd_graph_memo_hits_total %d\n", s.met.memoHits.Load())
 	fmt.Fprintf(w, "flexflowd_graph_memo_misses_total %d\n", s.met.memoMisses.Load())
+	fmt.Fprintf(w, "flexflowd_request_index_hits_total %d\n", s.met.indexHits.Load())
+	fmt.Fprintf(w, "flexflowd_request_index_misses_total %d\n", s.met.indexMisses.Load())
 	fmt.Fprintf(w, "flexflowd_job_panics_total %d\n", s.met.jobPanics.Load())
 	fmt.Fprintf(w, "flexflowd_proposals_total %d\n", proposals)
 	fmt.Fprintf(w, "flexflowd_proposals_per_sec %g\n", perSec)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -106,14 +107,47 @@ type request struct {
 // the zoo's largest models are well under this.
 const maxRequestBytes = 16 << 20
 
-// decodeRequest parses and validates the POST /v1/optimize body into a
+// maxPresize caps how much of a body's claimed Content-Length readBody
+// allocates up front: a header that claims megabytes must not reserve
+// memory for bytes that never arrive. Larger bodies grow past it as
+// their bytes are read.
+const maxPresize = 1 << 20
+
+// readBody reads the whole POST /v1/optimize body, at most
+// maxRequestBytes of it, into a buffer pre-sized from Content-Length
+// (capped at maxPresize). The +1 leaves room for the final read that
+// reports EOF, so a body of exactly its declared length never regrows
+// the buffer.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength+1, maxPresize)
+	}
+	body := make([]byte, 0, size)
+	rd := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	for {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("reading request: %w", err)
+		}
+	}
+}
+
+// decodeRequest parses and validates a POST /v1/optimize body into a
 // runnable request. Every check that needs no graph runs first; the
 // graph itself is built only when the graph memo has not seen its
 // source or an initial strategy must be validated against it. All
 // errors are client errors (400).
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request, error) {
+func (s *Server) decodeRequest(body []byte) (*request, error) {
 	var wire optimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&wire); err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
@@ -256,6 +290,13 @@ func buildGraph(wire *optimizeRequest) (*flexflow.Graph, error) {
 	}
 }
 
+// maxGPUs bounds the GPU count of a built-in topology. They link every
+// GPU pair of a node and every node pair, so their size grows with the
+// square of the count, and an unbounded count would let a small body
+// ask for a topology that exhausts memory. 256 is four times the
+// paper's largest cluster.
+const maxGPUs = 256
+
 // buildTopology resolves the request's topology source.
 func buildTopology(wire *optimizeRequest) (*flexflow.Topology, error) {
 	sources := 0
@@ -273,6 +314,9 @@ func buildTopology(wire *optimizeRequest) (*flexflow.Topology, error) {
 		if nodes <= 0 {
 			nodes = 1
 		}
+		if nodes > maxGPUs/4 {
+			return nil, fmt.Errorf("nodes must be <= %d (4 GPUs each), got %d", maxGPUs/4, nodes)
+		}
 		switch wire.Cluster {
 		case "p100":
 			return flexflow.NewP100Cluster(nodes), nil
@@ -282,6 +326,9 @@ func buildTopology(wire *optimizeRequest) (*flexflow.Topology, error) {
 			return nil, fmt.Errorf("unknown cluster %q (have p100, k80)", wire.Cluster)
 		}
 	case wire.GPUs > 0:
+		if wire.GPUs > maxGPUs {
+			return nil, fmt.Errorf("gpus must be <= %d, got %d", maxGPUs, wire.GPUs)
+		}
 		model := wire.GPUModel
 		if model == "" {
 			model = "P100"

@@ -14,6 +14,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -75,10 +76,12 @@ type Server struct {
 	// cache maps a fingerprint to the compact JSON body of its cache
 	// hit (json.Marshal of the response with cached set), rendered once
 	// when the search finished; memo maps a graph source to that
-	// graph's share of the fingerprint. Both are nil when caching is
-	// disabled.
+	// graph's share of the fingerprint; index maps the SHA-256 of a
+	// request body to the fingerprint those bytes decoded to. All three
+	// are nil when caching is disabled.
 	cache *lruCache[[]byte]
 	memo  *lruCache[flexflow.GraphFingerprint]
+	index *lruCache[string]
 
 	met metrics
 }
@@ -110,6 +113,7 @@ func New(opts Options) *Server {
 	if size > 0 {
 		s.cache = newLRUCache[[]byte](size)
 		s.memo = newLRUCache[flexflow.GraphFingerprint](size)
+		s.index = newLRUCache[string](size)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
@@ -198,33 +202,58 @@ func (j *job) publish(ev flexflow.ProgressEvent) {
 // handleOptimize serves POST /v1/optimize: cache lookup, coalescing
 // onto an identical in-flight search, admission control, then either a
 // plain JSON response or an SSE stream depending on the Accept header.
-// A cache hit is a request decode (which the graph memo spares the
-// graph build), one fingerprint finish, one lookup and one write of
-// the stored body.
+// A repeat of a body already seen is a hash of its bytes, two lookups
+// (request index, then strategy cache) and one write of the stored
+// body; any other cache hit is a request decode (which the graph memo
+// spares the graph build), one fingerprint finish, one lookup and one
+// write.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	req, err := s.decodeRequest(w, r)
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	stream := wantsSSE(r)
 
+	var bodyKey string
+	if s.index != nil {
+		bodyKey = indexKey(body)
+		if fp, ok := s.index.get(bodyKey); ok {
+			if hit, ok := s.cache.get(fp); ok {
+				s.met.indexHits.Add(1)
+				s.met.cacheHits.Add(1)
+				writeHit(w, stream, hit)
+				return
+			}
+		}
+		s.met.indexMisses.Add(1)
+	}
+
+	req, err := s.decodeRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+
 	fp, fpErr := req.graphFP.Fingerprint(req.prob, req.algorithm, req.opts)
+	// Only an unbudgeted fingerprint is a function of the body alone (and
+	// the server's fixed Options): a budgeted one also hashes the
+	// process-wide cost profile, which may change between two identical
+	// bodies. So only clean, cacheable, unbudgeted bodies enter the index.
+	if fpErr == nil && s.index != nil && !req.wire.NoCache && req.wire.Options.BudgetMS == 0 {
+		s.index.put(bodyKey, fp)
+	}
 	// An uncacheable request (fpErr != nil — e.g. a budget priced by an
 	// opaque process-wide CostModel) still runs; it just cannot be
 	// answered from or stored into the cache, nor coalesced.
 	if fpErr == nil && s.cache != nil && !req.wire.NoCache {
-		if body, ok := s.cache.get(fp); ok {
+		if hit, ok := s.cache.get(fp); ok {
 			s.met.cacheHits.Add(1)
-			if stream {
-				streamResult(w, body)
-			} else {
-				writeBody(w, http.StatusOK, body)
-			}
+			writeHit(w, stream, hit)
 			return
 		}
 		s.met.cacheMisses.Add(1)
@@ -274,6 +303,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	resp := *j.res
 	resp.Coalesced = coalesced
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// indexKey is the request index's key: the SHA-256 of the body exactly
+// as sent.
+func indexKey(body []byte) string {
+	sum := sha256.Sum256(body)
+	return string(sum[:])
+}
+
+// writeHit answers a cache hit with the entry's stored body, as a JSON
+// response or as an SSE stream's lone result frame.
+func writeHit(w http.ResponseWriter, stream bool, body []byte) {
+	if stream {
+		streamResult(w, body)
+	} else {
+		writeBody(w, http.StatusOK, body)
+	}
 }
 
 // startJob launches one search on its own goroutine, detached from any

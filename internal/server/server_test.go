@@ -299,7 +299,10 @@ func TestInlineGraphHitsModelCache(t *testing.T) {
 
 // TestHitBodyMatchesMiss pins the hit path's bytes: a cache hit writes
 // the stored body, which equals the miss's body except for "cached",
-// and an SSE hit's result frame carries those same stored bytes.
+// and an SSE hit's result frame carries those same stored bytes. The
+// identical repeat is a request-index hit, which never decodes the body
+// (so the graph memo sees no lookup); a re-spaced repeat takes the
+// decode path, and both answer with the same bytes.
 func TestHitBodyMatchesMiss(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv)
@@ -309,9 +312,28 @@ func TestHitBodyMatchesMiss(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("miss: status %d: %s", status, miss)
 	}
+	memoHits, memoMisses := srv.met.memoHits.Load(), srv.met.memoMisses.Load()
 	status, hit := postRaw(t, ts, optBody("mcmc", 13, ""))
 	if status != http.StatusOK {
 		t.Fatalf("hit: status %d: %s", status, hit)
+	}
+	if h := srv.met.indexHits.Load(); h != 1 {
+		t.Fatalf("identical repeat: request index hits = %d, want 1", h)
+	}
+	if h, m := srv.met.memoHits.Load(), srv.met.memoMisses.Load(); h != memoHits || m != memoMisses {
+		t.Fatalf("an index hit looked up the graph memo: hits/misses %d/%d -> %d/%d", memoHits, memoMisses, h, m)
+	}
+	// Trailing whitespace makes new bytes for the same request: an index
+	// miss that decodes, hits the memo and then the strategy cache.
+	status, decoded := postRaw(t, ts, optBody("mcmc", 13, "")+" ")
+	if status != http.StatusOK {
+		t.Fatalf("decode-path hit: status %d: %s", status, decoded)
+	}
+	if h := srv.met.memoHits.Load(); h != memoHits+1 {
+		t.Fatalf("re-spaced repeat: memo hits %d -> %d, want it to take the decode path", memoHits, h)
+	}
+	if !bytes.Equal(hit, decoded) {
+		t.Fatalf("index hit and decode-path hit differ:\n index  %s\n decode %s", hit, decoded)
 	}
 	if n := bytes.Count(miss, []byte(`"cached":false`)); n != 1 {
 		t.Fatalf("miss body holds %d compact \"cached\":false fields: %s", n, miss)
@@ -332,17 +354,27 @@ func TestHitBodyMatchesMiss(t *testing.T) {
 	if !bytes.Equal(append(stored, '\n'), hit) {
 		t.Fatal("JSON hit is not the stored body")
 	}
+	indexHits := srv.met.indexHits.Load()
 	events := sseEvents(t, ts, optBody("mcmc", 13, ""))
 	if len(events) != 1 || events[0][0] != "result" || events[0][1] != string(stored) {
 		t.Fatalf("SSE hit frames %q, want one result frame carrying the stored body", events)
+	}
+	if h := srv.met.indexHits.Load(); h != indexHits+1 {
+		t.Fatalf("SSE repeat: request index hits %d -> %d, want one more", indexHits, h)
+	}
+	decodedEvents := sseEvents(t, ts, optBody("mcmc", 13, "")+"  ")
+	if h := srv.met.indexHits.Load(); h != indexHits+1 {
+		t.Fatalf("re-spaced SSE repeat hit the request index (hits %d)", h)
+	}
+	if fmt.Sprint(decodedEvents) != fmt.Sprint(events) {
+		t.Fatalf("SSE index hit %q and decode-path hit %q differ", events, decodedEvents)
 	}
 }
 
 // decodeBody runs decodeRequest on an optimize body.
 func decodeBody(t *testing.T, srv *Server, body string) *request {
 	t.Helper()
-	r := httptest.NewRequest("POST", "/v1/optimize", strings.NewReader(body))
-	req, err := srv.decodeRequest(httptest.NewRecorder(), r)
+	req, err := srv.decodeRequest([]byte(body))
 	if err != nil {
 		t.Fatalf("decoding %s: %v", body, err)
 	}
@@ -827,33 +859,39 @@ func TestNoCacheForcesRun(t *testing.T) {
 	}
 }
 
+// badRequestBodies are optimize bodies that every request-validation
+// path must reject with a 400; they also seed FuzzDecodeRequest.
+var badRequestBodies = map[string]string{
+	"empty":             `{}`,
+	"bad json":          `{`,
+	"unknown field":     `{"model":"lenet","gpus":2,"modle":"x"}`,
+	"unknown model":     `{"model":"lenet-9000","gpus":2}`,
+	"model and graph":   `{"model":"lenet","graph":{"name":"g","ops":[]},"gpus":2}`,
+	"no topology":       `{"model":"lenet","scale":16}`,
+	"two topologies":    `{"model":"lenet","scale":16,"gpus":2,"cluster":"p100"}`,
+	"unknown cluster":   `{"model":"lenet","scale":16,"cluster":"dgx"}`,
+	"unknown algorithm": `{"model":"lenet","scale":16,"gpus":2,"algorithm":"quantum"}`,
+	"negative scale":    `{"model":"lenet","scale":-1,"gpus":2}`,
+	"bad initial":       `{"model":"lenet","scale":16,"gpus":2,"initial":{"name":"other"}}`,
+	"bad inline graph":  `{"graph":{"name":"g","ops":[{"name":"x","kind":"Warp"}]},"gpus":2}`,
+	"trailing data":     `{"model":"lenet","scale":16,"gpus":2} trailing garbage {`,
+	"two objects":       `{"model":"lenet","scale":16,"gpus":2}{"model":"lenet","scale":16,"gpus":2}`,
+	"too many gpus":     `{"model":"lenet","scale":16,"gpus":257}`,
+	"too many nodes":    `{"model":"lenet","scale":16,"cluster":"p100","nodes":65}`,
+}
+
 // TestBadRequests drives every request-validation path to a 400, with
-// the graph memo cold and again once it is warm for the graph sources
-// the cases name, so that no check is skipped on a memo hit.
+// the graph memo and request index cold and again once good bodies
+// have warmed both, so that no check is skipped on a memo or index
+// hit, and asserts no rejected body ever enters the index.
 func TestBadRequests(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	cases := map[string]string{
-		"empty":             `{}`,
-		"bad json":          `{`,
-		"unknown field":     `{"model":"lenet","gpus":2,"modle":"x"}`,
-		"unknown model":     `{"model":"lenet-9000","gpus":2}`,
-		"model and graph":   `{"model":"lenet","graph":{"name":"g","ops":[]},"gpus":2}`,
-		"no topology":       `{"model":"lenet","scale":16}`,
-		"two topologies":    `{"model":"lenet","scale":16,"gpus":2,"cluster":"p100"}`,
-		"unknown cluster":   `{"model":"lenet","scale":16,"cluster":"dgx"}`,
-		"unknown algorithm": `{"model":"lenet","scale":16,"gpus":2,"algorithm":"quantum"}`,
-		"negative scale":    `{"model":"lenet","scale":-1,"gpus":2}`,
-		"bad initial":       `{"model":"lenet","scale":16,"gpus":2,"initial":{"name":"other"}}`,
-		"bad inline graph":  `{"graph":{"name":"g","ops":[{"name":"x","kind":"Warp"}]},"gpus":2}`,
-		"trailing data":     `{"model":"lenet","scale":16,"gpus":2} trailing garbage {`,
-		"two objects":       `{"model":"lenet","scale":16,"gpus":2}{"model":"lenet","scale":16,"gpus":2}`,
-	}
 	check := func(when string) {
 		t.Helper()
-		for name, body := range cases {
+		for name, body := range badRequestBodies {
 			status, msg := postRaw(t, ts, body)
 			if status != http.StatusBadRequest {
 				t.Errorf("%s, %s: status %d (%s), want 400", name, when, status, msg)
@@ -861,6 +899,9 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 	check("memo cold")
+	if n := srv.index.len(); n != 0 {
+		t.Fatalf("rejected bodies entered the request index: %d entries", n)
+	}
 	for _, body := range []string{
 		`{"model":"lenet","gpus":2}`,
 		`{"model":"lenet","scale":16,"gpus":2}`,
@@ -871,6 +912,134 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("memo holds %d entries after warming, want 2", n)
 	}
 	check("memo warm")
+	for seed := int64(1); seed <= 2; seed++ {
+		if status, body := postRaw(t, ts, optBody("mcmc", seed, "")); status != http.StatusOK {
+			t.Fatalf("warming the request index: status %d: %s", status, body)
+		}
+	}
+	if n := srv.index.len(); n != 2 {
+		t.Fatalf("request index holds %d entries after warming, want 2", n)
+	}
+	check("index warm")
+	check("index warm, repeated")
+	if n := srv.index.len(); n != 2 {
+		t.Fatalf("rejected bodies entered the request index: %d entries, want the 2 good ones", n)
+	}
+}
+
+// TestRequestIndexExclusions asserts what never enters the request
+// index: no_cache bodies, and budgeted bodies, whose fingerprint also
+// hashes the process-wide cost profile. Two identical budgeted bodies
+// sent around a profile change must get different fingerprints.
+func TestRequestIndexExclusions(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for i := 0; i < 2; i++ {
+		resp, out := postJSON(t, ts, optBody("mcmc", 31, `,"no_cache":true`))
+		if resp.StatusCode != http.StatusOK || out.Cached {
+			t.Fatalf("no_cache try %d: status %d cached %v", i, resp.StatusCode, out.Cached)
+		}
+	}
+	if n := srv.index.len(); n != 0 {
+		t.Fatalf("no_cache bodies entered the request index: %d entries", n)
+	}
+
+	budgeted := `{"model":"lenet","scale":16,"gpus":2,"options":{"budget_ms":2,"seed":31,"timeout_ms":30000}}`
+	resp, before := postJSON(t, ts, budgeted)
+	if resp.StatusCode != http.StatusOK || before.Cached || before.Fingerprint == "" {
+		t.Fatalf("budgeted: status %d cached %v fingerprint %q", resp.StatusCode, before.Cached, before.Fingerprint)
+	}
+	prof := flexflow.DefaultCostProfile()
+	prof.Source = "server-test"
+	prev := flexflow.SetCostProfile(prof)
+	defer flexflow.SetCostProfile(prev)
+	resp, after := postJSON(t, ts, budgeted)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("budgeted after the profile change: status %d", resp.StatusCode)
+	}
+	if after.Cached || after.Fingerprint == before.Fingerprint {
+		t.Fatalf("budgeted body after a cost-profile change: cached %v, fingerprint %s (was %s), want a new search under a new key",
+			after.Cached, after.Fingerprint, before.Fingerprint)
+	}
+	if n := srv.index.len(); n != 0 {
+		t.Fatalf("budgeted bodies entered the request index: %d entries", n)
+	}
+	if h := srv.met.indexHits.Load(); h != 0 {
+		t.Fatalf("request index hits = %d, want 0", h)
+	}
+}
+
+// TestRequestIndexEvicted asserts an index hit is answered only while
+// its strategy is still cached: with CacheSize 1, a no_cache search
+// (which refreshes the cache but never enters the index) evicts the
+// indexed body's strategy, and the body's repeat runs a new search.
+func TestRequestIndexEvicted(t *testing.T) {
+	srv := New(Options{CacheSize: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := optBody("mcmc", 41, "")
+	resp, first := postJSON(t, ts, body)
+	if resp.StatusCode != http.StatusOK || first.Cached {
+		t.Fatalf("first: status %d cached %v", resp.StatusCode, first.Cached)
+	}
+	if resp, out := postJSON(t, ts, optBody("mcmc", 42, `,"no_cache":true`)); resp.StatusCode != http.StatusOK || out.Cached {
+		t.Fatalf("evicting search: status %d cached %v", resp.StatusCode, out.Cached)
+	}
+	if _, ok := srv.index.get(indexKey([]byte(body))); !ok {
+		t.Fatal("the first body left the request index; the test needs it indexed")
+	}
+	if _, ok := srv.cache.get(first.Fingerprint); ok {
+		t.Fatal("the first body's strategy is still cached; the test needs it evicted")
+	}
+	resp, again := postJSON(t, ts, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat: status %d", resp.StatusCode)
+	}
+	if again.Cached || again.Fingerprint != first.Fingerprint {
+		t.Fatalf("repeat of an indexed body whose strategy was evicted: cached %v fingerprint %s, want a new search under %s",
+			again.Cached, again.Fingerprint, first.Fingerprint)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_total"); n != 3 {
+		t.Fatalf("jobs_total = %g, want 3", n)
+	}
+	if h, m := scrapeMetric(t, ts, "flexflowd_request_index_hits_total"), scrapeMetric(t, ts, "flexflowd_request_index_misses_total"); h != 0 || m != 3 {
+		t.Fatalf("request index hits/misses = %g/%g, want 0/3", h, m)
+	}
+}
+
+// TestRequestIndexBounded asserts the request index is an LRU bounded
+// by CacheSize, and absent when caching is disabled.
+func TestRequestIndexBounded(t *testing.T) {
+	srv := New(Options{CacheSize: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for seed := int64(51); seed <= 53; seed++ {
+		if status, body := postRaw(t, ts, optBody("mcmc", seed, "")); status != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, status, body)
+		}
+	}
+	if n := srv.index.len(); n != 2 {
+		t.Fatalf("request index holds %d entries, want the bound 2", n)
+	}
+
+	off := New(Options{CacheSize: -1})
+	if off.index != nil || off.cache != nil || off.memo != nil {
+		t.Fatal("caching disabled, yet the request index, cache or memo exists")
+	}
+	tsOff := httptest.NewServer(off)
+	defer tsOff.Close()
+	for i := 0; i < 2; i++ {
+		resp, out := postJSON(t, tsOff, optBody("mcmc", 51, ""))
+		if resp.StatusCode != http.StatusOK || out.Cached {
+			t.Fatalf("caching disabled, try %d: status %d cached %v", i, resp.StatusCode, out.Cached)
+		}
+	}
+	if h, m := off.met.indexHits.Load(), off.met.indexMisses.Load(); h != 0 || m != 0 {
+		t.Fatalf("caching disabled: request index hits/misses = %d/%d, want 0/0", h, m)
+	}
 }
 
 // TestMetaEndpoints covers /healthz and /v1/optimizers.

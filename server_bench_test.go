@@ -5,9 +5,9 @@
 // request with no_cache; "cached" answers every repeat of an identical
 // request from the content-addressed strategy cache, and
 // "cached-inline" does the same for a request carrying the graph
-// inline, whose hit still parses and hashes the whole payload. The gap
-// between "cold" and the cached cases is what the cache buys a repeat
-// caller.
+// inline, whose hit only hashes the payload's bytes for the request
+// index and never parses them. The gap between "cold" and the cached
+// cases is what the cache buys a repeat caller.
 package flexflow_test
 
 import (
