@@ -452,45 +452,6 @@ func benchProposalThroughput(b *testing.B, model string, factor int) {
 	}
 }
 
-// BenchmarkMCMCProposalBatch is the Options.ProposalBatch sweep behind
-// the measured default (search.DefaultProposalBatch): one single-chain
-// delta-mode MCMC walk per op at each batch size, on the small and the
-// 50k-task synthetic class, with the default Beta (so acceptance rates
-// are the realistic search regime, not a degenerate all-reject walk).
-// Each batch size is its own deterministic walk, so ns/op differences
-// are pure batching overhead/benefit: a round's later drafts are priced
-// against the pre-move point and discarded when an earlier draft wins.
-// The sweep is recorded in BENCH_pr9.json; re-run it (docs/EXPERIMENTS
-// .md) before moving the default.
-func BenchmarkMCMCProposalBatch(b *testing.B) {
-	for _, c := range []struct {
-		model  string
-		factor int
-		iters  int
-	}{
-		{"synth-2k", 1, 400},
-		{"synth-50k", 1, 24},
-	} {
-		g := benchGraph(b, c.model, c.factor)
-		topo := device.NewSingleNode(4, "P100")
-		initials := []*config.Strategy{config.DataParallel(g, topo)}
-		for _, batch := range []int{1, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/batch=%d", c.model, batch), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					est := newEstimator()
-					opts := search.DefaultOptions()
-					opts.MaxIters = c.iters
-					opts.ProposalBatch = batch
-					res := search.MCMC(context.Background(), g, topo, est, initials, opts)
-					if res.Best == nil || res.Iters == 0 {
-						b.Fatalf("batch=%d: degenerate search: %+v", batch, res)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMCMCLocality is the proposal-locality sweep behind
 // Options.Locality (the PR 10 trajectory artifact, gated by
 // TestBenchPR10LocalityImproves): one single-chain delta-mode MCMC walk
@@ -500,9 +461,9 @@ func BenchmarkMCMCProposalBatch(b *testing.B) {
 // search quality the walk reached) and suffix-tasks/proposal (the mean
 // evaluated-suffix size the delta simulator paid per proposal — the
 // quantity locality-aware sampling exists to shrink). The acceptance
-// comparison is within-file across policies: a non-uniform policy must
-// either beat uniform's makespan >=1.3x at the equal budget, or match
-// its quality while re-evaluating >=1.3x fewer suffix tasks.
+// comparison is within-file across policies: measured must either beat
+// uniform's makespan >=1.3x at the equal budget, or match its quality
+// while re-evaluating >=1.3x fewer suffix tasks.
 func BenchmarkMCMCLocality(b *testing.B) {
 	for _, c := range []struct {
 		model string
@@ -514,7 +475,7 @@ func BenchmarkMCMCLocality(b *testing.B) {
 		g := benchGraph(b, c.model, 1)
 		topo := device.NewSingleNode(4, "P100")
 		initials := []*config.Strategy{config.DataParallel(g, topo)}
-		for _, loc := range []search.Locality{search.LocalityUniform, search.LocalityLateBiased, search.LocalityMeasured} {
+		for _, loc := range search.Localities() {
 			b.Run(fmt.Sprintf("%s/locality=%s", c.model, loc), func(b *testing.B) {
 				var best time.Duration
 				var suffix, iters int64

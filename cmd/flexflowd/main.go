@@ -32,6 +32,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -48,7 +49,7 @@ func main() {
 		cacheSize      = flag.Int("cache-size", 256, "strategy cache entries (0 default, negative disables)")
 		workers        = flag.Int("workers", 0, "size of the process-wide worker pool (0 = all CPUs)")
 		costProfile    = flag.String("cost-profile", "", "fitted cost profile JSON to price virtual-time budgets (see flexflow -calibrate)")
-		locality       = flag.String("locality", "", "default MCMC proposal-locality policy for requests that set none (uniform, late-biased, stratified, measured)")
+		locality       = flag.String("locality", "", "default MCMC proposal-locality policy for requests that set none: "+strings.Join(flexflow.Localities(), ", "))
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long running searches get to finish on shutdown")
 		pprofAddr      = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	)

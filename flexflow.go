@@ -37,8 +37,7 @@
 // profile: Calibrate fits one from measured proposal costs,
 // SetCostProfile installs it (and Save/LoadCostProfile persist it), so
 // a virtual budget of N seconds tracks wall-clock N seconds on the
-// calibrated machine. Search and SearchOptions remain as deprecated
-// shims over the "mcmc" optimizer.
+// calibrated machine.
 //
 // All parallelism — MCMC chains, DFS subtrees, REINFORCE rollouts,
 // Neighborhood sweeps, experiment cells — runs on one process-wide
@@ -49,7 +48,6 @@
 package flexflow
 
 import (
-	"context"
 	"time"
 
 	"flexflow/internal/config"
@@ -110,7 +108,7 @@ func WorkerBound() int { return par.WorkerBound() }
 
 // Localities lists the recognized values of OptimizeOptions.Locality —
 // MCMC's proposal-locality policies — in documentation order:
-// "uniform", "late-biased", "stratified", "measured".
+// "uniform", "measured".
 func Localities() []string {
 	locs := search.Localities()
 	out := make([]string, len(locs))
@@ -182,95 +180,6 @@ func ModelScaled(name string, factor int) (*Graph, error) {
 // the execution simulator and reports strategy metrics.
 func Simulate(g *Graph, topo *Topology, s *Strategy) (time.Duration, Metrics) {
 	return search.Evaluate(g, topo, NewEstimator(), s, taskgraph.Options{})
-}
-
-// SearchOptions configure the execution optimizer.
-//
-// Deprecated: use OptimizeOptions with GetOptimizer("mcmc"), which adds
-// streaming progress, pluggable algorithms and context-based
-// cancellation; SearchOptions remains as a shim over it.
-type SearchOptions struct {
-	// MaxIters caps MCMC proposals per initial strategy (default 2000).
-	MaxIters int
-	// Budget caps search time per chain in deterministic virtual time
-	// (0 = none): proposals are priced by the installed cost profile
-	// (SetCostProfile; built-in defaults otherwise), so a budgeted run
-	// executes a fixed proposal count and replays exactly. For a
-	// wall-clock limit, use Optimize with a deadline context.
-	Budget time.Duration
-	// Beta is the Metropolis-Hastings temperature (default 15).
-	Beta float64
-	// Seed makes the search reproducible (default 1).
-	Seed int64
-	// IncludeExpert adds the expert-designed strategy to the initial
-	// candidates alongside data parallelism and a random strategy.
-	IncludeExpert bool
-	// Workers caps this search's share of the process-wide worker pool
-	// (0 = the pool's full bound). Results are identical for every
-	// value: chain RNG seeds are derived up front from Seed, so the
-	// parallel search is bit-identical to the serial one.
-	//
-	// Deprecated: size the shared pool once with SetWorkers instead.
-	Workers int
-	// Cancel, when non-nil, stops the search early once closed; the
-	// best strategy found so far is returned.
-	//
-	// Deprecated: pass a cancellable context.Context to
-	// Optimizer.Optimize instead. Cancel is bridged onto a context
-	// internally and keeps working.
-	Cancel <-chan struct{}
-}
-
-// SearchResult is the outcome of the execution optimizer.
-type SearchResult struct {
-	// Best is the best strategy discovered.
-	Best *Strategy
-	// BestCost is its simulated per-iteration time.
-	BestCost time.Duration
-	// Iters counts evaluated proposals; SearchTime the wall clock spent.
-	Iters      int
-	SearchTime time.Duration
-}
-
-// Search runs the FlexFlow execution optimizer (Section 6) and returns
-// the best strategy discovered.
-//
-// Deprecated: use GetOptimizer("mcmc") and Optimize, which accept a
-// context for cancellation and stream progress events. Search remains a
-// thin shim over that path.
-func Search(g *Graph, topo *Topology, o SearchOptions) SearchResult {
-	ctx := context.Background()
-	if o.Cancel != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		select {
-		case <-o.Cancel:
-			// Already closed: cancel synchronously so the search sees it
-			// before its first proposal, exactly like the old channel
-			// check did.
-			cancel()
-		default:
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				select {
-				case <-o.Cancel:
-					cancel()
-				case <-done:
-				}
-			}()
-		}
-	}
-	opt, err := GetOptimizer("mcmc")
-	if err != nil {
-		panic(err) // unreachable: "mcmc" registers at init
-	}
-	res, _ := opt.Optimize(ctx, Problem{Graph: g, Topology: topo}, OptimizeOptions{
-		MaxIters: o.MaxIters, Budget: o.Budget, Beta: o.Beta, Seed: o.Seed,
-		IncludeExpert: o.IncludeExpert, Workers: o.Workers,
-	})
-	return SearchResult{Best: res.Best, BestCost: res.BestCost, Iters: res.Iters, SearchTime: res.SearchTime}
 }
 
 // EmulateHardware runs one training iteration of the strategy on the

@@ -1,6 +1,7 @@
 package flexflow
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -19,9 +20,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("simulate: %v, %+v", dpTime, m)
 	}
 
-	res := Search(g, topo, SearchOptions{MaxIters: 150, Budget: 5 * time.Second})
-	if res.Best == nil || res.BestCost <= 0 {
-		t.Fatalf("search: %+v", res)
+	opt, err := GetOptimizer("mcmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := opt.Optimize(context.Background(), Problem{Graph: g, Topology: topo},
+		OptimizeOptions{MaxIters: 150, Budget: 5 * time.Second})
+	if err != nil || res.Best == nil || res.BestCost <= 0 {
+		t.Fatalf("search: %+v, %v", res, err)
 	}
 	if res.BestCost > dpTime {
 		t.Fatalf("search result %v worse than data parallelism %v", res.BestCost, dpTime)

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -75,16 +74,15 @@ func TestEvaluateBatchMatchesIndependent(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchFromMatchesIndependent is the steady-state variant
-// of the batch differential: the instance is first walked away from the
-// plan base (the position an MCMC chain is in mid-search), then a
-// proposal list mixing same-op chains and op changes is priced with
-// EvaluateBatchFrom against that point. Every cost must equal a
-// from-scratch full simulation on a mirror instance replaying the exact
-// same ReplaceConfig sequence, the pass must leave the instance parked
-// at the last proposal, and the documented re-park restores the
-// starting point.
-func TestEvaluateBatchFromMatchesIndependent(t *testing.T) {
+// TestDeltaPriceRevertMatchesIndependent is the steady-state variant
+// of the batch differential, in the exact shape of one MCMC step: the
+// instance is first walked away from the plan base (the position a
+// chain is in mid-search), then every proposal is priced with one
+// ApplyDelta and reverted with another — a rejected proposal's path.
+// Every priced cost and every reverted timeline must equal a
+// from-scratch full simulation on a mirror instance replaying the same
+// ReplaceConfig sequence.
+func TestDeltaPriceRevertMatchesIndependent(t *testing.T) {
 	g := tinyMLP()
 	topo := device.NewSingleNode(4, "P100")
 	est := perfmodel.NewAnalyticModel()
@@ -108,90 +106,18 @@ func TestEvaluateBatchFromMatchesIndependent(t *testing.T) {
 		cur.Set(op.ID, cfg)
 	}
 
-	var props []Proposal
-	for _, op := range ops {
-		for k := 0; k < 2; k++ {
-			props = append(props, Proposal{OpID: op.ID, Cfg: config.RandomConfig(op, topo, rng)})
+	for k := 0; k < 3*len(ops); k++ {
+		op := ops[k%len(ops)]
+		cfg := config.RandomConfig(op, topo, rng)
+		got := st.ApplyDelta(tg.ReplaceConfig(op.ID, cfg))
+		mirror.ReplaceConfig(op.ID, cfg)
+		if want := sim.NewState(mirror).Simulate(); got != want {
+			t.Fatalf("proposal %d (op %d): delta %v != full replay %v", k, op.ID, got, want)
 		}
-	}
-	for i := len(ops) - 1; i >= 0; i-- {
-		props = append(props, Proposal{OpID: ops[i].ID, Cfg: config.RandomConfig(ops[i], topo, rng)})
-	}
-
-	costs := EvaluateBatchFrom(tg, st, cur, props)
-	curOp := -1
-	for i, p := range props {
-		if curOp >= 0 && p.OpID != curOp {
-			mirror.ReplaceConfig(curOp, cur.Config(curOp).Clone())
+		st.ApplyDelta(tg.ReplaceConfig(op.ID, cur.Config(op.ID).Clone()))
+		mirror.ReplaceConfig(op.ID, cur.Config(op.ID).Clone())
+		if want := sim.NewState(mirror).Simulate(); st.Makespan != want {
+			t.Fatalf("revert %d (op %d): delta %v != full replay %v", k, op.ID, st.Makespan, want)
 		}
-		curOp = p.OpID
-		mirror.ReplaceConfig(p.OpID, p.Cfg)
-		if want := sim.NewState(mirror).Simulate(); costs[i] != want {
-			t.Fatalf("proposal %d (op %d): batch %v != full replay %v", i, p.OpID, costs[i], want)
-		}
-	}
-	// Parked at the last proposal: the timeline must agree with the
-	// mirror as it stands.
-	if want := sim.NewState(mirror).Simulate(); st.Makespan != want {
-		t.Fatalf("instance not parked at last proposal: %v != %v", st.Makespan, want)
-	}
-	// The documented re-park (revert the last proposal's op to cur)
-	// returns the instance to the pre-batch point.
-	last := props[len(props)-1].OpID
-	st.ApplyDelta(tg.ReplaceConfig(last, cur.Config(last).Clone()))
-	mirror.ReplaceConfig(last, cur.Config(last).Clone())
-	if want := sim.NewState(mirror).Simulate(); st.Makespan != want {
-		t.Fatalf("re-park diverged: %v != %v", st.Makespan, want)
-	}
-}
-
-// TestMCMCProposalBatchContract pins the ProposalBatch API: 0 and 1
-// are the same classic walk, every batch size is deterministic run to
-// run and produces a non-degenerate search, and FullSim mode ignores
-// the knob entirely.
-func TestMCMCProposalBatchContract(t *testing.T) {
-	g := tinyMLP()
-	topo := device.NewSingleNode(4, "P100")
-	est := perfmodel.NewAnalyticModel()
-	opts := DefaultOptions()
-	opts.MaxIters = 150
-	opts.Seed = 5
-	initials := Initials(g, topo, 5, true)
-
-	run := func(batch int, fullSim bool) Result {
-		o := opts
-		o.ProposalBatch = batch
-		o.FullSim = fullSim
-		return MCMC(context.Background(), g, topo, est, initials, o)
-	}
-	same := func(a, b Result) bool {
-		if a.BestCost != b.BestCost || !a.Best.Equal(b.Best) ||
-			a.Iters != b.Iters || a.Accepted != b.Accepted ||
-			a.SimStats != b.SimStats || len(a.Trace) != len(b.Trace) {
-			return false
-		}
-		for i := range a.Trace {
-			if a.Trace[i] != b.Trace[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	zero, one := run(0, false), run(1, false)
-	if !same(zero, one) {
-		t.Error("ProposalBatch 0 and 1 are not the same walk")
-	}
-	for _, batch := range []int{4, 16} {
-		a, b := run(batch, false), run(batch, false)
-		if !same(a, b) {
-			t.Errorf("ProposalBatch=%d is not deterministic run to run", batch)
-		}
-		if a.Iters == 0 || a.Accepted == 0 || a.Best == nil || a.BestCost <= 0 {
-			t.Errorf("ProposalBatch=%d degenerate search: %+v", batch, a)
-		}
-	}
-	if fa, fb := run(1, true), run(16, true); !same(fa, fb) {
-		t.Error("FullSim walk changed with ProposalBatch set")
 	}
 }

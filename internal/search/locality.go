@@ -2,44 +2,39 @@ package search
 
 // Proposal locality (see docs/ARCHITECTURE.md, "Proposal locality").
 //
-// PR 9's profiling settled why the 100k-task synthetic roofline sits
-// ~100x behind nmt in proposals/sec: under uniform op sampling most
-// proposals hit an op whose tasks start near t=0, the delta truncation
-// point T0 lands at the head of the timeline, and the re-evaluated
-// suffix is genuinely most of the graph. The lever is therefore the
-// proposal distribution, not the engine: score each op by where its
-// tasks sit in the current timeline (sim.State.SuffixHint) and steer
-// the walk toward small-suffix ops.
+// Under uniform op sampling most proposals on a large graph hit an op
+// whose tasks start near t=0: the delta truncation point T0 lands at
+// the head of the timeline and the re-evaluated suffix is most of the
+// graph. LocalityMeasured steers the walk toward ops whose proposals
+// have measured cheap to price instead.
 //
-// Determinism: every policy draws from the chain's private RNG stream
-// and from state derived only from that chain's own walk, so for a
-// fixed (Seed, Locality, ProposalBatch, CostModel) the result is
-// bit-identical across Workers values and pool sizes — the same
-// contract ProposalBatch carries. The weighted sampler orders ops by
-// ascending op ID internally and consumes exactly one Float64 per
-// draw, so the draw sequence is independent of how the caller
-// enumerated the ops. LocalityUniform consumes RNG exactly like the
-// pre-locality walk (one Intn per draft) and is pinned bit-identical
-// to it by TestMCMCLocalityContract.
+// Determinism: the measured policy draws from the chain's private RNG
+// stream and from state derived only from that chain's own walk, so
+// for a fixed (Seed, Locality, CostModel) the result is bit-identical
+// across Workers values and pool sizes. The weighted sampler orders
+// ops by ascending op ID internally and consumes exactly one Float64
+// per weighted draw, so the draw sequence is independent of how the
+// caller enumerated the ops. LocalityUniform consumes RNG exactly like
+// the pre-locality walk (one Intn per proposal) and is pinned
+// bit-identical to it by TestMCMCLocalityContract.
 //
-// Ergodicity: non-uniform weights are floored at a strictly positive
-// minimum, and LocalityMeasured additionally redraws uniformly with
-// probability 1/8 (localityEscapeProb), so no op — however early its
-// tasks start — is ever starved of proposals.
+// Ergodicity: every softmax weight is strictly positive (the exponent
+// is clamped), and LocalityMeasured redraws uniformly with probability
+// 1/8 (localityEscapeProb), so no op is ever starved of proposals.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"flexflow/internal/graph"
 	"flexflow/internal/sim"
 )
 
 // Locality selects the proposal-locality policy of an MCMC search: how
-// a chain picks which op to mutate next, given where each op's tasks
-// sit in its current timeline (see Options.Locality).
+// a chain picks which op to mutate next (see Options.Locality).
 type Locality string
 
 const (
@@ -47,29 +42,16 @@ const (
 	// It is the default, and it is bit-identical to a search that
 	// predates the Locality option (pinned by TestMCMCLocalityContract).
 	LocalityUniform Locality = "uniform"
-	// LocalityLateBiased weights each op by the square of its timeline
-	// position (1-SuffixHint)², floored at localityMinWeight, so ops
-	// whose tasks start late — small re-evaluated suffix — are proposed
-	// more often. Weights refresh from the timeline after every accepted
-	// move.
-	LocalityLateBiased Locality = "late-biased"
-	// LocalityStratified splits the ops into four equal-size strata by
-	// ascending SuffixHint (latest-starting ops first) and gives the
-	// strata geometric selection weight 8:4:2:1, uniform within a
-	// stratum. Coarser than late-biased — a misestimated hint moves an
-	// op at most one stratum — and every stratum keeps fixed probability
-	// mass, so early ops retain a guaranteed share.
-	LocalityStratified Locality = "stratified"
-	// LocalityMeasured steers on measurement instead of position: each
-	// op carries an exponential moving average of the evaluated-suffix
-	// sizes (sim.Stats.SuffixTasks) its proposals actually cost, seeded
-	// from the op's SuffixHint, and selection weight falls off
-	// exponentially with that average (a softmax over -EMA at
-	// temperature localityEMATemp times the mean EMA). The sharp
-	// falloff matters: measured suffix costs typically spread less than
-	// 2x between the cheapest and dearest op, so a merely proportional
-	// weighting would be nearly uniform; the softmax concentrates the
-	// walk on the genuinely cheapest ops, which position alone cannot
+	// LocalityMeasured steers on measurement: each op carries an
+	// exponential moving average of the evaluated-suffix sizes
+	// (sim.Stats.SuffixTasks) its proposals actually cost, seeded from
+	// the op's SuffixHint, and selection weight falls off exponentially
+	// with that average (a softmax over -EMA at temperature
+	// localityEMATemp times the mean EMA). The sharp falloff matters:
+	// measured suffix costs typically spread less than 2x between the
+	// cheapest and dearest op, so a merely proportional weighting would
+	// be nearly uniform; the softmax concentrates the walk on the
+	// genuinely cheapest ops, which timeline position alone cannot
 	// identify (the affected set is the op's dependency cone, not a
 	// timeline cut). An occasional uniform redraw (probability 1/8)
 	// keeps the walk ergodic.
@@ -77,11 +59,6 @@ const (
 )
 
 const (
-	// localityMinWeight floors every op's selection weight: even an op
-	// whose tasks start at t=0 keeps a positive proposal probability
-	// (ergodicity; the Metropolis walk must be able to reach every
-	// strategy).
-	localityMinWeight = 0.05
 	// localityEscapeProb is LocalityMeasured's uniform escape hatch: the
 	// probability a draw ignores the learned weights entirely. The EMA
 	// only learns about ops it proposes, so without the escape a
@@ -115,7 +92,7 @@ const (
 
 // Localities lists every recognized policy, in documentation order.
 func Localities() []Locality {
-	return []Locality{LocalityUniform, LocalityLateBiased, LocalityStratified, LocalityMeasured}
+	return []Locality{LocalityUniform, LocalityMeasured}
 }
 
 // ParseLocality normalizes a policy name: the empty string means
@@ -125,10 +102,14 @@ func ParseLocality(s string) (Locality, error) {
 	switch Locality(s) {
 	case "", LocalityUniform:
 		return LocalityUniform, nil
-	case LocalityLateBiased, LocalityStratified, LocalityMeasured:
-		return Locality(s), nil
+	case LocalityMeasured:
+		return LocalityMeasured, nil
 	}
-	return "", fmt.Errorf("search: unknown locality policy %q (have %v)", s, Localities())
+	names := make([]string, 0, len(Localities()))
+	for _, l := range Localities() {
+		names = append(names, string(l))
+	}
+	return "", fmt.Errorf("search: unknown locality policy %q (have %s)", s, strings.Join(names, ", "))
 }
 
 // buildCum overwrites cum with the inclusive prefix sums of w and
@@ -165,16 +146,13 @@ func weightedIndex(cum []float64, x float64) int {
 	return i
 }
 
-// localityPicker holds one chain's locality state: the op order, the
-// per-op timeline hints, the measured-mode EMA, and the cumulative
-// weight table the draws binary-search. It is private to the chain —
-// never shared — so the walk stays deterministic for every pool size.
+// localityPicker holds one chain's LocalityMeasured state: the op
+// order, the per-op EMA, and the cumulative weight table the draws
+// binary-search. It is private to the chain — never shared — so the
+// walk stays deterministic for every pool size.
 type localityPicker struct {
-	policy  Locality
-	ops     []*graph.Op
-	order   []int     // positions into ops, ascending op ID
+	order   []int     // positions into the caller's ops, ascending op ID
 	inv     []int     // ops position -> order entry (inverse of order)
-	hint    []float64 // per order entry: SuffixHint ∈ [0, 1]
 	ema     []float64 // per order entry: EMA of measured suffix tasks
 	sampled []bool    // per order entry: ema holds a real measurement
 	weight  []float64 // per order entry: selection weight (>0)
@@ -183,21 +161,18 @@ type localityPicker struct {
 	dirty   bool // weights must be rebuilt before the next draw
 }
 
-// newLocalityPicker builds the picker for a non-uniform policy over the
-// chain's op set, hinted from the chain's starting timeline. Returns
-// nil for LocalityUniform: the caller keeps the classic Intn path.
-func newLocalityPicker(policy Locality, ops []*graph.Op, st *sim.State) *localityPicker {
-	if policy == LocalityUniform || policy == "" {
-		return nil
-	}
+// newLocalityPicker builds the LocalityMeasured picker over the chain's
+// op set, seeding each op's EMA from its SuffixHint on the chain's
+// starting timeline.
+func newLocalityPicker(ops []*graph.Op, st *sim.State) *localityPicker {
 	p := &localityPicker{
-		policy: policy,
-		ops:    ops,
-		order:  make([]int, len(ops)),
-		hint:   make([]float64, len(ops)),
-		ema:    make([]float64, len(ops)),
-		weight: make([]float64, len(ops)),
-		cum:    make([]float64, 0, len(ops)),
+		order:   make([]int, len(ops)),
+		inv:     make([]int, len(ops)),
+		ema:     make([]float64, len(ops)),
+		sampled: make([]bool, len(ops)),
+		weight:  make([]float64, len(ops)),
+		cum:     make([]float64, 0, len(ops)),
+		dirty:   true,
 	}
 	for i := range ops {
 		p.order[i] = i
@@ -205,59 +180,37 @@ func newLocalityPicker(policy Locality, ops []*graph.Op, st *sim.State) *localit
 	sort.Slice(p.order, func(a, b int) bool {
 		return ops[p.order[a]].ID < ops[p.order[b]].ID
 	})
-	p.inv = make([]int, len(ops))
+	// Seed the EMA with a *pessimistic* position prior: hint × alive
+	// tasks, inflated by localitySeedMargin and clamped at the full task
+	// count. Per-op suffix cost is bimodal — ops at nearly identical
+	// hints either truncate near their own tail (~hint × alive tasks) or
+	// collapse to a whole-timeline resim — so an optimistic seed turns
+	// the walk into an expensive exploration ladder: every measurement
+	// lands above some unmeasured seed and the sampler keeps paying
+	// full-resim prices to discover which ops are cheap. Seeding above
+	// the true cheap-op cost makes measurement monotone: an
+	// observed-cheap op drops below every unexplored seed and the walk
+	// fixates on the measured-cheap set, leaving the escape draws to
+	// fund further exploration.
+	alive := float64(st.TG.Alive())
 	for i, pos := range p.order {
 		p.inv[pos] = i
-	}
-	p.refresh(st)
-	if policy == LocalityMeasured {
-		// Seed the EMA with a *pessimistic* position prior: hint × alive
-		// tasks, inflated by localitySeedMargin and clamped at the full
-		// task count. Per-op suffix cost is bimodal — ops at nearly
-		// identical hints either truncate near their own tail (~hint ×
-		// alive tasks) or collapse to a whole-timeline resim — so an
-		// optimistic seed turns the walk into an expensive exploration
-		// ladder: every measurement lands above some unmeasured seed and
-		// the sampler keeps paying full-resim prices to discover which
-		// ops are cheap. Seeding above the true cheap-op cost makes
-		// measurement monotone: an observed-cheap op drops below every
-		// unexplored seed and the walk fixates on the measured-cheap set,
-		// leaving the escape draws to fund further exploration.
-		alive := float64(st.TG.Alive())
-		p.sampled = make([]bool, len(ops))
-		for i := range p.ema {
-			seed := p.hint[i] * localitySeedMargin * alive
-			if seed > alive {
-				seed = alive
-			}
-			p.ema[i] = seed
+		seed := st.SuffixHint(ops[pos].ID) * localitySeedMargin * alive
+		if seed > alive {
+			seed = alive
 		}
-		p.dirty = true
+		p.ema[i] = seed
 	}
 	return p
 }
 
-// refresh recomputes every op's SuffixHint from the chain's current
-// timeline and marks the weights for rebuild. Called at chain start and
-// after every accepted move (the timeline changed); a full pass is
-// O(tasks), far cheaper than the proposals an accepted move implies.
-func (p *localityPicker) refresh(st *sim.State) {
-	for i, pos := range p.order {
-		p.hint[i] = st.SuffixHint(p.ops[pos].ID)
-	}
-	p.dirty = true
-}
-
 // observe folds a measured evaluated-suffix size (tasks) into the EMA
-// of the op at position pos in the caller's ops slice. Only
-// LocalityMeasured learns from it. The first measurement replaces the
-// seed outright — the seed is a deliberately pessimistic prior, and
-// blending toward a real sample three EMA steps at a time would keep
-// paying the prior's error for several draws per op.
+// of the op at position pos in the caller's ops slice. The first
+// measurement replaces the seed outright — the seed is a deliberately
+// pessimistic prior, and blending toward a real sample three EMA steps
+// at a time would keep paying the prior's error for several draws per
+// op.
 func (p *localityPicker) observe(pos int, suffixTasks float64) {
-	if p.policy != LocalityMeasured {
-		return
-	}
 	i := p.inv[pos]
 	if !p.sampled[i] {
 		p.sampled[i] = true
@@ -268,83 +221,45 @@ func (p *localityPicker) observe(pos int, suffixTasks float64) {
 	p.dirty = true
 }
 
-// rebuild recomputes the weight and cumulative tables from the current
-// hints/EMA under the picker's policy.
+// rebuild recomputes the weight and cumulative tables from the EMA: a
+// softmax over the negated EMA, weight exp(-(ema-min)/scale) with
+// scale = localityEMATemp x the mean EMA. Suffix costs spread less than
+// 2x on the graphs that matter, so the falloff must be exponential to
+// concentrate the walk on the cheap tail; the clamp keeps every weight
+// strictly positive. A degenerate all-zero EMA (nothing measured,
+// nothing seeded) means no signal: every op weighs 1.
 func (p *localityPicker) rebuild() {
-	switch p.policy {
-	case LocalityLateBiased:
-		for i, h := range p.hint {
-			w := (1 - h) * (1 - h)
-			if w < localityMinWeight {
-				w = localityMinWeight
-			}
-			p.weight[i] = w
+	min, mean := math.Inf(1), 0.0
+	for _, e := range p.ema {
+		if e < min {
+			min = e
 		}
-	case LocalityStratified:
-		// Rank ops by ascending hint (latest-starting first), ties by
-		// the already-ID-sorted order index so ranking is deterministic.
-		rank := make([]int, len(p.order))
-		for i := range rank {
-			rank[i] = i
+		mean += e
+	}
+	mean /= float64(len(p.ema))
+	scale := localityEMATemp * mean
+	for i, e := range p.ema {
+		if scale <= 0 {
+			p.weight[i] = 1
+			continue
 		}
-		sort.SliceStable(rank, func(a, b int) bool {
-			return p.hint[rank[a]] < p.hint[rank[b]]
-		})
-		// Four equal-size strata with geometric mass 8:4:2:1; each op's
-		// weight is its stratum's mass split evenly inside the stratum,
-		// so a draw is "pick stratum by mass, then uniform within".
-		n := len(rank)
-		strata := 4
-		if n < strata {
-			strata = n
+		x := (e - min) / scale
+		if x > localityExpClamp {
+			x = localityExpClamp
 		}
-		for r, i := range rank {
-			stratum := r * strata / n
-			size := float64((stratum+1)*n/strata - stratum*n/strata)
-			p.weight[i] = float64(int(1)<<(strata-1-stratum)) / size
-		}
-	case LocalityMeasured:
-		// Softmax over the negated EMA: weight exp(-(ema-min)/scale),
-		// scale = localityEMATemp x the mean EMA. Suffix costs spread
-		// less than 2x on the graphs that matter, so the falloff must be
-		// exponential to concentrate the walk on the cheap tail; the
-		// clamp keeps every weight strictly positive. A degenerate
-		// all-zero EMA (nothing measured, nothing seeded) means no
-		// signal: every op weighs 1.
-		min, mean := math.Inf(1), 0.0
-		for _, e := range p.ema {
-			if e < min {
-				min = e
-			}
-			mean += e
-		}
-		mean /= float64(len(p.ema))
-		scale := localityEMATemp * mean
-		for i, e := range p.ema {
-			if scale <= 0 {
-				p.weight[i] = 1
-				continue
-			}
-			x := (e - min) / scale
-			if x > localityExpClamp {
-				x = localityExpClamp
-			}
-			p.weight[i] = math.Exp(-x)
-		}
-	default:
-		panic("search: localityPicker with policy " + string(p.policy))
+		p.weight[i] = math.Exp(-x)
 	}
 	p.cum, p.total = buildCum(p.weight, p.cum)
 	p.dirty = false
 }
 
 // pick draws the next op to mutate and returns its position in the
-// caller's ops slice. Non-escape draws consume exactly one Float64;
-// LocalityMeasured consumes one extra Float64 deciding the escape
-// hatch (plus an Intn when it fires). All draws come from the chain's
-// private RNG, so the sequence replays exactly for a fixed seed.
+// caller's ops slice. Every draw consumes one Float64 deciding the
+// escape hatch, then either an Intn (escape) or one more Float64
+// (weighted). All draws come from the chain's private RNG, so the
+// sequence replays exactly for a fixed seed.
 func (p *localityPicker) pick(rng *rand.Rand) int {
-	if p.policy == LocalityMeasured && rng.Float64() < localityEscapeProb {
+	if rng.Float64() < localityEscapeProb {
 		// Uniform escape, drawn over the ID-sorted order so the choice
 		// is independent of how the caller enumerated the ops.
 		return p.order[rng.Intn(len(p.order))]

@@ -33,7 +33,10 @@
 // frozen plan is — and draws from a private RNG whose seed is derived
 // up front from Options.Seed and the chain index, so the random walk of
 // chain i is one fixed sequence no matter how many workers execute the
-// pool or in which order chains are scheduled.
+// pool or in which order chains are scheduled. Each step of a chain
+// draws one proposal, prices it with one delta simulation (a full
+// rebuild in FullSim mode), runs the Metropolis test, and reverts a
+// rejected proposal with a second delta.
 //
 // Budgets are charged in virtual time: every proposal costs a
 // deterministic amount priced by the active CostModel — a measured
@@ -59,7 +62,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime/trace"
-	"sort"
 	"sync"
 	"time"
 
@@ -142,32 +144,17 @@ type Options struct {
 	// bit-identical across Workers values and pool sizes.
 	Cost CostModel
 	// Locality selects the proposal-locality policy: how a chain picks
-	// the op each draft mutates ("" or LocalityUniform = the classic
+	// the op each proposal mutates ("" or LocalityUniform = the classic
 	// uniform walk, bit-identical to a Locality-less search, pinned by
-	// TestMCMCLocalityContract). Non-uniform policies steer proposals
-	// toward ops whose tasks sit late in the chain's current timeline —
-	// the delta simulator re-evaluates only the timeline suffix after
-	// the earliest change point, so late ops are cheap to price — using
-	// only the chain's private RNG stream and per-chain state. Every
-	// policy is therefore its own deterministic walk: for a fixed
-	// (Seed, Locality, ProposalBatch, CostModel) the Result is
-	// bit-identical across Workers values and pool sizes. Ignored in
-	// FullSim mode, which rebuilds from scratch per proposal and has no
-	// standing timeline to score ops against. See docs/ARCHITECTURE.md,
-	// "Proposal locality".
+	// TestMCMCLocalityContract; LocalityMeasured = steer toward ops whose
+	// proposals have measured cheap to price). The measured policy uses
+	// only the chain's private RNG stream and per-chain state, so it is
+	// its own deterministic walk: for a fixed (Seed, Locality,
+	// CostModel) the Result is bit-identical across Workers values and
+	// pool sizes. Ignored in FullSim mode, which rebuilds from scratch
+	// per proposal and has no delta cost to measure. See
+	// docs/ARCHITECTURE.md, "Proposal locality".
 	Locality Locality
-	// ProposalBatch sets how many proposals a chain drafts per round in
-	// delta mode (0 or 1 = the classic one-at-a-time walk, bit-identical
-	// to a ProposalBatch-less search). A round drafts K proposals from
-	// the chain's current point, prices all of them in one
-	// EvaluateBatchFrom pass — grouped by op, so same-op drafts chain
-	// without revert deltas — and accepts the first winner in draw
-	// order, discarding the later drafts of the round (their costs were
-	// priced against the pre-move point). Every batch size is its own
-	// deterministic walk: for a fixed (Seed, ProposalBatch, CostModel)
-	// the Result is bit-identical across Workers values and pool sizes.
-	// Ignored in FullSim mode, which rebuilds per proposal anyway.
-	ProposalBatch int
 	// Workers caps this search's share of the process-wide worker pool
 	// (0 = the pool's full bound; see par.SetWorkers). Results are
 	// identical for every value and every pool size; see the package
@@ -183,20 +170,9 @@ type Options struct {
 	OnEvent func(ProgressEvent)
 }
 
-// DefaultProposalBatch is the measured ProposalBatch default: the
-// batch ∈ {1, 4, 8, 16} × {synth-2k, synth-50k} sweep recorded in
-// BENCH_pr9.json (methodology in docs/EXPERIMENTS.md) shows batched
-// rounds losing ground as batch size grows — at realistic acceptance
-// rates a round's later drafts are priced against a point the chain
-// has already left, so their evaluations are discarded work — and
-// batch=1 is also the only size whose walk is bit-identical to a
-// ProposalBatch-less search. Batching stays available as an explicit
-// opt-in for cost models where drafting dominates pricing.
-const DefaultProposalBatch = 1
-
 // DefaultOptions returns the configuration used by the experiments.
 func DefaultOptions() Options {
-	return Options{Beta: 15, MaxIters: 2000, Seed: 1, ProposalBatch: DefaultProposalBatch}
+	return Options{Beta: 15, MaxIters: 2000, Seed: 1}
 }
 
 // TracePoint records search progress for Figure 12. Elapsed is the
@@ -388,14 +364,14 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 	emit(opts.OnEvent, ProgressEvent{Algorithm: "mcmc", Chain: chain, Iter: 0, BestCost: cost})
 	ops := g.ComputeOps()
 	allowed := opts.Space.allowed()
-	// Locality state: nil for the uniform policy (the classic Intn path,
-	// untouched) and in FullSim mode (no standing timeline to score ops
-	// against — proposals rebuild from scratch). The picker is per-chain
+	// Measured-locality state: nil for the uniform policy (the classic
+	// Intn path, untouched) and in FullSim mode (no delta cost to
+	// measure — proposals rebuild from scratch). The picker is per-chain
 	// and consumes only this chain's RNG, preserving the determinism
 	// contract for every pool size.
 	var picker *localityPicker
-	if !opts.FullSim {
-		picker = newLocalityPicker(opts.Locality, ops, st)
+	if !opts.FullSim && opts.Locality == LocalityMeasured {
+		picker = newLocalityPicker(ops, st)
 	}
 	lastImprove := time.Duration(0) // virtual time of the last chain-best improvement
 
@@ -441,203 +417,101 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 		opMem[op.ID] = newFP
 	}
 
-	finish := func() Result {
-		res.SimStats = st.Stats
-		res.SearchTime = time.Since(wallStart)
-		emit(opts.OnEvent, ProgressEvent{
-			Algorithm: "mcmc", Chain: chain, Iter: res.Iters,
-			BestCost: res.BestCost, Elapsed: virtual(res.Iters), Final: true,
-		})
-		return res
-	}
-
-	// Delta mode drafts batchSize proposals per round and prices them in
-	// one EvaluateBatchFrom pass over the chain's live instance. Full
-	// mode is forced to rounds of one: it rebuilds the task graph per
-	// proposal (Algorithm 1's BUILDTASKGRAPH), so there is nothing to
-	// batch. Rounds of one reproduce the classic one-proposal-at-a-time
-	// walk call for call — same RNG stream, same delta sequence, same
-	// stats — which the batch differential tests pin.
-	batchSize := opts.ProposalBatch
-	if batchSize < 1 || opts.FullSim {
-		batchSize = 1
-	}
-	type draft struct {
-		it      int
-		elapsed time.Duration
-		op      *graph.Op
-		pos     int // op's position in ops (locality EMA attribution)
-		oldCfg  *config.Config
-		newCfg  *config.Config
-		newFP   map[int]int64
-	}
-	round := make([]draft, 0, batchSize)
-	evalIdx := make([]int, 0, batchSize)
-	props := make([]Proposal, 0, batchSize)
-	costs := make([]time.Duration, batchSize)
-	suffixBuf := make([]int64, batchSize)
-
-	it := 0
-	stopped := false
-	for !stopped && it < opts.MaxIters {
-		// Draft phase. The per-iteration bookkeeping — cancellation,
-		// virtual budget, the half-time stopping criterion, the RNG
-		// draws, memory feasibility — is the classic loop's, verbatim; a
-		// draft is exactly the proposal the classic loop would have
-		// simulated at that iteration.
-		round = round[:0]
-		for len(round) < batchSize && it < opts.MaxIters {
-			it++
-			if cancelled(ctx) {
-				return finish()
-			}
-			elapsed := virtual(it)
-			if opts.Budget > 0 && elapsed > opts.Budget {
-				stopped = true
-				break
-			}
-			// Criterion 2 of Section 6.2: stop when the best strategy has
-			// not improved for half of the search time — on the chain's
-			// virtual clock, so budgeted runs stop at the same proposal
-			// count every run. The criterion is defined relative to the
-			// time budget, so it only applies when one is set; iteration-
-			// budgeted runs (e.g. the Table 4 timing comparison) execute
-			// their full proposal count.
-			if opts.Budget > 0 && elapsed > 100*time.Millisecond && elapsed-lastImprove > elapsed/2 {
-				stopped = true
-				break
-			}
-			// The uniform policy keeps the classic draw verbatim — one
-			// Intn per draft, the pre-locality RNG stream; non-uniform
-			// policies draw from the weighted sampler instead (their walk
-			// is its own deterministic sequence).
-			pos := -1
-			var op *graph.Op
-			if picker == nil {
-				op = ops[rng.Intn(len(ops))]
-			} else {
-				pos = picker.pick(rng)
-				op = ops[pos]
-			}
-			// Configs are immutable once built (Strategy.Set swaps
-			// pointers, never writes in place), so drafts and the revert
-			// path can keep old pointers instead of defensive clones.
-			oldCfg := cur.Config(op.ID)
-			newCfg := config.RandomConfigRestricted(op, topo, rng, allowed)
-			if newCfg.Equal(oldCfg) {
-				continue
-			}
-			var newFP map[int]int64
-			if opts.MemoryCheck {
-				newFP = memory.OpFootprint(op, newCfg, opts.MemoryModel)
-				if !memFeasible(op, newFP) {
-					continue // infeasible proposal: rejected outright
-				}
-			}
-			round = append(round, draft{it: it, elapsed: elapsed, op: op, pos: pos, oldCfg: oldCfg, newCfg: newCfg, newFP: newFP})
+	for it := 1; it <= opts.MaxIters; it++ {
+		if cancelled(ctx) {
+			break
 		}
-		if len(round) == 0 {
+		elapsed := virtual(it)
+		if opts.Budget > 0 && elapsed > opts.Budget {
+			break
+		}
+		// Criterion 2 of Section 6.2: stop when the best strategy has not
+		// improved for half of the search time — on the chain's virtual
+		// clock, so budgeted runs stop at the same proposal count every
+		// run. The criterion is defined relative to the time budget, so it
+		// only applies when one is set; iteration-budgeted runs (e.g. the
+		// Table 4 timing comparison) execute their full proposal count.
+		if opts.Budget > 0 && elapsed > 100*time.Millisecond && elapsed-lastImprove > elapsed/2 {
+			break
+		}
+		// The uniform policy keeps the classic draw verbatim — one Intn
+		// per proposal; the measured policy draws from its weighted
+		// sampler instead (its walk is its own deterministic sequence).
+		var pos int
+		if picker == nil {
+			pos = rng.Intn(len(ops))
+		} else {
+			pos = picker.pick(rng)
+		}
+		op := ops[pos]
+		// Configs are immutable once built (Strategy.Set swaps pointers,
+		// never writes in place), so oldCfg stays valid to restore.
+		oldCfg := cur.Config(op.ID)
+		newCfg := config.RandomConfigRestricted(op, topo, rng, allowed)
+		if newCfg.Equal(oldCfg) {
 			continue
 		}
+		var newFP map[int]int64
+		if opts.MemoryCheck {
+			newFP = memory.OpFootprint(op, newCfg, opts.MemoryModel)
+			if !memFeasible(op, newFP) {
+				continue // infeasible proposal: rejected outright
+			}
+		}
+		res.Iters++
 
-		// Price the round. Delta mode evaluates every draft against the
-		// chain's current point in one EvaluateBatchFrom pass, grouped
-		// stably by op so same-op drafts chain without a revert delta in
-		// between; the pass leaves the instance parked at the last draft
-		// it evaluated. Full mode rebuilds and re-times the single draft.
-		lastEval := -1
+		// Price the proposal. Delta mode replaces the op's config on the
+		// chain's live instance and re-times the affected suffix; full
+		// mode rebuilds and re-times the whole graph, as Algorithm 1 does.
+		var newCost time.Duration
 		if opts.FullSim {
-			d := round[0]
-			cur.Set(d.op.ID, d.newCfg)
+			cur.Set(op.ID, newCfg)
 			full := taskgraph.Build(g, topo, cur.Clone(), est, opts.TaskOpts)
 			fullState := sim.NewState(full)
-			costs[0] = fullState.Simulate()
+			newCost = fullState.Simulate()
 			st.Stats.FullSims++
 			st.Stats.Pops += fullState.Stats.Pops
-			cur.Set(d.op.ID, d.oldCfg)
+			cur.Set(op.ID, oldCfg)
 		} else {
-			evalIdx = evalIdx[:0]
-			for k := range round {
-				evalIdx = append(evalIdx, k)
+			pre := st.Stats.SuffixTasks
+			newCost = st.ApplyDelta(tg.ReplaceConfig(op.ID, newCfg))
+			// Measured locality learns the proposal's own evaluated-suffix
+			// size (a delta that fell back to a full simulation adds 0).
+			if picker != nil {
+				picker.observe(pos, float64(st.Stats.SuffixTasks-pre))
 			}
-			sort.SliceStable(evalIdx, func(a, b int) bool {
-				return round[evalIdx[a]].op.ID < round[evalIdx[b]].op.ID
-			})
-			props = props[:0]
-			for _, k := range evalIdx {
-				props = append(props, Proposal{OpID: round[k].op.ID, Cfg: round[k].newCfg})
-			}
-			// Measured locality learns from the pass: each proposal's own
-			// evaluated-suffix size (not the revert deltas) feeds the
-			// proposing op's EMA.
-			var suffix []int64
-			if picker != nil && picker.policy == LocalityMeasured {
-				suffix = suffixBuf[:len(props)]
-			}
-			for i, c := range EvaluateBatchFromStats(tg, st, cur, props, suffix) {
-				costs[evalIdx[i]] = c
-			}
-			if suffix != nil {
-				for i, k := range evalIdx {
-					picker.observe(round[k].pos, float64(suffix[i]))
-				}
-			}
-			lastEval = evalIdx[len(evalIdx)-1]
 		}
-		res.Iters += len(round)
 
-		// Accept phase: the Metropolis test walks the round in draw
-		// order and the first winner takes the move. Later drafts of the
-		// round were priced against the pre-move point, so they are
-		// discarded — each batch size is its own deterministic walk.
-		winner := -1
-		for k := range round {
-			if accept(cost, costs[k], opts.Beta, rng) {
-				winner = k
-				break
+		if !accept(cost, newCost, opts.Beta, rng) {
+			if !opts.FullSim {
+				// Revert the instance to the chain's current point.
+				st.ApplyDelta(tg.ReplaceConfig(op.ID, oldCfg.Clone()))
 			}
+			continue
 		}
-		if winner >= 0 {
-			d := round[winner]
-			if !opts.FullSim && winner != lastEval {
-				// Re-park the instance at the winner: revert the op the
-				// batch pass ended on (unless it is the winner's own op,
-				// where replacing again lands correctly) and apply the
-				// winning config.
-				if lastOp := round[lastEval].op.ID; lastOp != d.op.ID {
-					st.ApplyDelta(tg.ReplaceConfig(lastOp, cur.Config(lastOp).Clone()))
-				}
-				st.ApplyDelta(tg.ReplaceConfig(d.op.ID, d.newCfg))
-			}
-			cur.Set(d.op.ID, d.newCfg)
-			cost = costs[winner]
-			res.Accepted++
-			if opts.MemoryCheck {
-				memCommit(d.op, d.newFP)
-			}
-			if cost < res.BestCost {
-				res.BestCost = cost
-				res.Best = cur.Clone()
-				res.Trace = append(res.Trace, TracePoint{Iter: d.it, Elapsed: d.elapsed, BestCost: cost})
-				lastImprove = d.elapsed
-				emit(opts.OnEvent, ProgressEvent{
-					Algorithm: "mcmc", Chain: chain, Iter: d.it, BestCost: cost, Elapsed: d.elapsed,
-				})
-			}
-			// The accepted move changed the timeline, so position-based
-			// policies re-score every op against it (measured mode's EMA
-			// adapts through observations instead).
-			if picker != nil && picker.policy != LocalityMeasured {
-				picker.refresh(st)
-			}
-		} else if !opts.FullSim {
-			// Every draft rejected: re-park the instance at the chain's
-			// current point by reverting the op the batch pass ended on.
-			lastOp := round[lastEval].op.ID
-			st.ApplyDelta(tg.ReplaceConfig(lastOp, cur.Config(lastOp).Clone()))
+		cur.Set(op.ID, newCfg)
+		cost = newCost
+		res.Accepted++
+		if opts.MemoryCheck {
+			memCommit(op, newFP)
+		}
+		if cost < res.BestCost {
+			res.BestCost = cost
+			res.Best = cur.Clone()
+			res.Trace = append(res.Trace, TracePoint{Iter: it, Elapsed: elapsed, BestCost: cost})
+			lastImprove = elapsed
+			emit(opts.OnEvent, ProgressEvent{
+				Algorithm: "mcmc", Chain: chain, Iter: it, BestCost: cost, Elapsed: elapsed,
+			})
 		}
 	}
-	return finish()
+	res.SimStats = st.Stats
+	res.SearchTime = time.Since(wallStart)
+	emit(opts.OnEvent, ProgressEvent{
+		Algorithm: "mcmc", Chain: chain, Iter: res.Iters,
+		BestCost: res.BestCost, Elapsed: virtual(res.Iters), Final: true,
+	})
+	return res
 }
 
 // accept implements the Metropolis-Hastings criterion of Eq. (2) with a

@@ -149,49 +149,24 @@ func TestMCMCVirtualBudgetDeterministic(t *testing.T) {
 		}
 	}
 
-	// Batched rounds obey the same contract: ProposalBatch regroups how
-	// drafts are priced, but the virtual clock still ticks once per
-	// proposal, so a budgeted batched run stops at a fixed proposal
-	// count and replays bit-identically across invocations and Workers
-	// values (each batch size against its own reference walk).
+	// The measured locality policy steers which ops a budgeted walk
+	// proposes, not how the virtual clock ticks: it has its own
+	// deterministic stopping point and replays bit-identically across
+	// invocations and Workers values, checked against its own Workers=1
+	// reference.
 	opts.Cost = nil
-	opts.ProposalBatch = 6
+	opts.Locality = LocalityMeasured
 	opts.Workers = 1
-	batchRef := MCMC(context.Background(), g, topo, est, initials, opts)
-	if batchRef.Iters == 0 || batchRef.Iters >= opts.MaxIters {
-		t.Fatalf("budget did not bind at ProposalBatch=6: %d proposals", batchRef.Iters)
+	locRef := MCMC(context.Background(), g, topo, est, initials, opts)
+	if locRef.Iters == 0 || locRef.Iters >= opts.MaxIters {
+		t.Fatalf("locality=measured: budget did not bind: %d proposals", locRef.Iters)
 	}
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		opts.Workers = workers
 		pl := MCMC(context.Background(), g, topo, est, initials, opts)
-		if !same(batchRef, pl) {
-			t.Fatalf("workers=%d batched budgeted run diverged: %d vs %d iters, %v vs %v",
-				workers, pl.Iters, batchRef.Iters, pl.BestCost, batchRef.BestCost)
-		}
-	}
-
-	// Locality policies steer which ops a budgeted walk proposes, not how
-	// the virtual clock ticks: every policy (crossed with the batch knob)
-	// has its own deterministic stopping point and replays bit-identically
-	// across invocations and Workers values. Each (locality, batch) cell
-	// checks against its own Workers=1 reference.
-	for _, loc := range []Locality{LocalityLateBiased, LocalityStratified, LocalityMeasured} {
-		for _, batch := range []int{1, 6} {
-			opts.Locality = loc
-			opts.ProposalBatch = batch
-			opts.Workers = 1
-			locRef := MCMC(context.Background(), g, topo, est, initials, opts)
-			if locRef.Iters == 0 || locRef.Iters >= opts.MaxIters {
-				t.Fatalf("locality=%s batch=%d: budget did not bind: %d proposals", loc, batch, locRef.Iters)
-			}
-			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				opts.Workers = workers
-				pl := MCMC(context.Background(), g, topo, est, initials, opts)
-				if !same(locRef, pl) {
-					t.Fatalf("locality=%s batch=%d workers=%d budgeted run diverged: %d vs %d iters, %v vs %v",
-						loc, batch, workers, pl.Iters, locRef.Iters, pl.BestCost, locRef.BestCost)
-				}
-			}
+		if !same(locRef, pl) {
+			t.Fatalf("locality=measured workers=%d budgeted run diverged: %d vs %d iters, %v vs %v",
+				workers, pl.Iters, locRef.Iters, pl.BestCost, locRef.BestCost)
 		}
 	}
 }

@@ -396,9 +396,9 @@ func TestReinforcePlacement(t *testing.T) {
 	}
 }
 
-func TestMCMCMemoryCheck(t *testing.T) {
-	// A model whose full replication does not fit tiny devices: the
-	// memory-checked search must only ever hold feasible strategies.
+// fatModel is a model whose full replication does not fit its two
+// tiny devices, with a feasible parameter-sharded starting strategy.
+func fatModel() (*graph.Graph, *device.Topology, *config.Strategy) {
 	g := graph.New("fat")
 	x := g.InputTensor("x", tensor.MakeShape(
 		tensor.D(graph.DimSample, 64, tensor.Sample),
@@ -416,6 +416,12 @@ func TestMCMCMemoryCheck(t *testing.T) {
 	for _, op := range g.ComputeOps() {
 		init.Set(op.ID, config.ParamParallel(op, topo.GPUs()))
 	}
+	return g, topo, init
+}
+
+func TestMCMCMemoryCheck(t *testing.T) {
+	// The memory-checked search must only ever hold feasible strategies.
+	g, topo, init := fatModel()
 	if !memory.Fits(g, topo, init, memory.Model{}) {
 		t.Fatal("initial strategy should fit")
 	}

@@ -878,6 +878,22 @@ var badRequestBodies = map[string]string{
 	"two objects":       `{"model":"lenet","scale":16,"gpus":2}{"model":"lenet","scale":16,"gpus":2}`,
 	"too many gpus":     `{"model":"lenet","scale":16,"gpus":257}`,
 	"too many nodes":    `{"model":"lenet","scale":16,"cluster":"p100","nodes":65}`,
+	"late-biased":       `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"late-biased"}}`,
+	"stratified":        `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"stratified"}}`,
+}
+
+// TestDeletedLocalityRejected pins the answer to a locality policy the
+// optimizer no longer has: a 400 whose message names the policies it
+// does have.
+func TestDeletedLocalityRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+	for _, name := range []string{"late-biased", "stratified"} {
+		status, msg := postRaw(t, ts, badRequestBodies[name])
+		if status != http.StatusBadRequest || !strings.Contains(string(msg), "uniform, measured") {
+			t.Errorf("locality %s: status %d (%s), want 400 listing uniform, measured", name, status, msg)
+		}
+	}
 }
 
 // TestBadRequests drives every request-validation path to a 400, with

@@ -242,9 +242,8 @@ func TestScalePropertySynth2k(t *testing.T) {
 
 // scaleLocalityPropertyRun is the locality-weighted sibling of
 // scalePropertyRun: instead of a uniform op draw it weights each op by
-// its timeline position the way search's late-biased policy does —
-// weight (1-SuffixHint)² floored at a positive minimum, drawn through a
-// local cumulative-sum sampler (sim cannot import search) and refreshed
+// its timeline position — weight (1-SuffixHint)² floored at a positive
+// minimum, drawn through a local cumulative-sum sampler and refreshed
 // after every mutation. That makes the walk cluster on late-starting
 // ops, which is exactly the op sequence a locality-aware MCMC feeds
 // ApplyDelta: long runs of small-suffix truncations with occasional
@@ -266,7 +265,7 @@ func scaleLocalityPropertyRun(t *testing.T, model string, seed int64, steps int)
 	st.Simulate()
 	ops := g.ComputeOps()
 
-	// Local late-biased weighted draw over SuffixHint.
+	// Position-weighted draw over SuffixHint.
 	cum := make([]float64, len(ops))
 	draw := func() *graph.Op {
 		total := 0.0

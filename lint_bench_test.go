@@ -114,9 +114,10 @@ func TestBenchPR8ChainSetupImproves(t *testing.T) {
 // 5x fewer bytes per op than the deep-copy baseline recorded in the
 // same file (CloneFor now shares timing pages copy-on-write), (b)
 // BenchmarkDeltaSimulation/synth-50k at least 1.5x faster in ns/op than
-// its in-file baseline, and (c) the ProposalBatch sweep behind the
-// pinned search.DefaultProposalBatch present in the tracked set with
-// batch=1 the measured winner on both synthetic classes.
+// its in-file baseline, and (c) the ProposalBatch sweep present in the
+// tracked set with batch=1 the measured winner on both synthetic
+// classes. That sweep is the evidence the option was deleted on: the
+// search now always prices one proposal at a time.
 func TestBenchPR9SparseTimingImproves(t *testing.T) {
 	f, err := benchjson.Load("BENCH_pr9.json")
 	if err != nil {
@@ -178,7 +179,10 @@ func TestBenchPR9SparseTimingImproves(t *testing.T) {
 // same iteration budget, or equal-quality search (best makespan within
 // 5% of uniform) at >=1.3x fewer evaluated suffix tasks per proposal.
 // The numbers are the committed ones (regenerated per
-// docs/EXPERIMENTS.md), not re-measured in CI.
+// docs/EXPERIMENTS.md), not re-measured in CI. The sweep is also the
+// evidence the late-biased and stratified policies were deleted on:
+// late-biased trailed measured by a wide margin, and stratified never
+// beat uniform.
 func TestBenchPR10LocalityImproves(t *testing.T) {
 	f, err := benchjson.Load("BENCH_pr10.json")
 	if err != nil {

@@ -74,14 +74,12 @@ type OptimizeOptions struct {
 	// algorithm instead of the delta algorithm (the Table 4 ablation).
 	FullSim bool
 	// Locality selects MCMC's proposal-locality policy: "" or "uniform"
-	// (the classic walk, bit-identical to earlier releases),
-	// "late-biased", "stratified", or "measured" — the non-uniform
-	// policies steer proposals toward ops whose tasks sit late in the
-	// chain's current timeline, where the delta simulator re-evaluates
-	// the least (see docs/ARCHITECTURE.md, "Proposal locality"). The
-	// policy changes the resulting strategy, so it participates in
-	// Fingerprint. Unknown names fail Optimize with an error. Ignored in
-	// FullSim mode and by the non-MCMC algorithms.
+	// (the classic walk, bit-identical to earlier releases) or
+	// "measured", which steers proposals toward ops whose deltas have
+	// measured cheap to price (see docs/ARCHITECTURE.md, "Proposal
+	// locality"). The policy changes the resulting strategy, so it
+	// participates in Fingerprint. Unknown names fail Optimize with an
+	// error. Ignored in FullSim mode and by the non-MCMC algorithms.
 	Locality string
 	// Cost explicitly prices proposals for the virtual-time Budget,
 	// overriding the installed cost profile (see SetCostProfile). Nil

@@ -122,6 +122,22 @@ func TestOptimizeRejectsInvalidInitial(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsDeletedLocality pins the error for a locality
+// policy the optimizer no longer has: Optimize fails before searching,
+// with the message naming the policies it does have.
+func TestOptimizeRejectsDeletedLocality(t *testing.T) {
+	opt, err := GetOptimizer("mcmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"late-biased", "stratified"} {
+		res, err := opt.Optimize(context.Background(), registryProblem(), OptimizeOptions{MaxIters: 20, Locality: name})
+		if err == nil || !strings.Contains(err.Error(), "uniform, measured") || res.Best != nil {
+			t.Errorf("locality %q: err = %v, best %v; want an error listing uniform, measured and no strategy", name, err, res.Best)
+		}
+	}
+}
+
 // TestOptimizerProgressStreaming exercises the OnEvent path through the
 // facade: events must arrive, carry the right algorithm, and end with
 // the returned best cost on a Final event.
@@ -345,36 +361,4 @@ func ExampleSetCostProfile() {
 	// err: <nil>
 	// installed: true
 	// budgeted run found a strategy: true
-}
-
-// TestSearchShimStillWorks pins the deprecated path: flexflow.Search and
-// SearchOptions.Cancel keep functioning as a shim over the "mcmc"
-// optimizer.
-func TestSearchShimStillWorks(t *testing.T) {
-	p := registryProblem()
-	res := Search(p.Graph, p.Topology, SearchOptions{MaxIters: 100, Seed: 1})
-	if res.Best == nil || res.BestCost <= 0 || res.Iters == 0 {
-		t.Fatalf("shim search degenerate: %+v", res)
-	}
-
-	// The shim must agree with the optimizer it wraps (same seed, same
-	// deterministic walk).
-	opt, _ := GetOptimizer("mcmc")
-	direct, err := opt.Optimize(context.Background(), p, OptimizeOptions{MaxIters: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestCost != direct.BestCost || !res.Best.Equal(direct.Best) {
-		t.Fatalf("shim diverged from optimizer: %v vs %v", res.BestCost, direct.BestCost)
-	}
-
-	cancel := make(chan struct{})
-	close(cancel)
-	got := Search(p.Graph, p.Topology, SearchOptions{MaxIters: 1 << 20, Cancel: cancel})
-	if got.Iters != 0 {
-		t.Fatalf("pre-closed Cancel still ran %d proposals", got.Iters)
-	}
-	if got.Best == nil {
-		t.Fatal("cancelled shim lost the initial evaluation")
-	}
 }
