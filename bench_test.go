@@ -453,8 +453,8 @@ func benchProposalThroughput(b *testing.B, model string, factor int) {
 }
 
 // BenchmarkMCMCLocality is the proposal-locality sweep behind
-// Options.Locality (the PR 10 trajectory artifact, gated by
-// TestBenchPR10LocalityImproves): one single-chain delta-mode MCMC walk
+// Options.Locality (the BENCH_pr10.json trajectory artifact, gated by
+// TestBenchPR10LocalityImproves' locality bar): one single-chain delta-mode MCMC walk
 // per policy on the synthetic 50k- and 100k-task classes, every policy
 // at the same iteration budget from the same data-parallel start. Each
 // run reports two custom metrics next to ns/op: best-makespan-us (the

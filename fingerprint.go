@@ -2,7 +2,6 @@ package flexflow
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -51,48 +50,10 @@ func Fingerprint(p Problem, algorithm string, opts OptimizeOptions) (string, err
 	if p.Graph == nil || p.Topology == nil {
 		return "", fmt.Errorf("flexflow: Fingerprint needs a Graph and a Topology")
 	}
-	return FingerprintGraph(p.Graph).Fingerprint(p, algorithm, opts)
-}
-
-// GraphFingerprint is a graph's share of a Fingerprint: the SHA-256
-// state after the version line and the graph walk, which is the
-// costly part of the key. A caller that sees the same graph again —
-// the same model-zoo name, or byte-identical inline graph payload —
-// can keep it and finish later fingerprints of that graph without
-// rebuilding or re-walking it. It is immutable and safe for concurrent
-// use.
-type GraphFingerprint struct {
-	state []byte // the marshaled sha256 digest
-}
-
-// FingerprintGraph hashes the graph's share of a Fingerprint.
-func FingerprintGraph(g *Graph) GraphFingerprint {
 	h := sha256.New()
 	fmt.Fprintf(h, "fingerprint/v%d\n", FingerprintVersion)
-	writeGraph(h, g)
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic("flexflow: sha256 state does not marshal: " + err.Error())
-	}
-	return GraphFingerprint{state: state}
-}
 
-// Fingerprint finishes the key: for the graph gf was taken from, it
-// equals Fingerprint(Problem{Graph: graph, Topology: p.Topology},
-// algorithm, opts) bit for bit. p.Graph is read only to export
-// opts.Initial and may be nil when there is none.
-func (gf GraphFingerprint) Fingerprint(p Problem, algorithm string, opts OptimizeOptions) (string, error) {
-	if gf.state == nil || p.Topology == nil {
-		return "", fmt.Errorf("flexflow: GraphFingerprint.Fingerprint needs a graph fingerprint and a Topology")
-	}
-	if opts.Initial != nil && p.Graph == nil {
-		return "", fmt.Errorf("flexflow: fingerprinting Initial needs the Graph")
-	}
-	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(gf.state); err != nil {
-		return "", fmt.Errorf("flexflow: restoring graph fingerprint: %w", err)
-	}
-
+	writeGraph(h, p.Graph)
 	writeTopology(h, p.Topology)
 	fmt.Fprintf(h, "algo %s\n", algorithm)
 	// Locality is hashed in normalized form: "" and "uniform" are the

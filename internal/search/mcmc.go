@@ -187,7 +187,8 @@ type TracePoint struct {
 type Result struct {
 	Best     *config.Strategy
 	BestCost time.Duration
-	// Iters and Accepted count proposals and accepted proposals.
+	// Iters counts priced proposals (a draw skipped as a no-op or as
+	// memory-infeasible is none) and Accepted the accepted ones.
 	Iters, Accepted int
 	// SearchTime is the wall-clock time the optimizer ran for (the only
 	// field of a Result that is not deterministic).
@@ -417,6 +418,10 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 		opMem[op.ID] = newFP
 	}
 
+	// draws counts every draw taken, skipped ones (no-ops, memory-
+	// infeasible configs) included: they advance the chain's clock too.
+	// res.Iters counts only the priced ones.
+	draws := 0
 	for it := 1; it <= opts.MaxIters; it++ {
 		if cancelled(ctx) {
 			break
@@ -434,6 +439,7 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 		if opts.Budget > 0 && elapsed > 100*time.Millisecond && elapsed-lastImprove > elapsed/2 {
 			break
 		}
+		draws = it
 		// The uniform policy keeps the classic draw verbatim — one Intn
 		// per proposal; the measured policy draws from its weighted
 		// sampler instead (its walk is its own deterministic sequence).
@@ -508,8 +514,8 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 	res.SimStats = st.Stats
 	res.SearchTime = time.Since(wallStart)
 	emit(opts.OnEvent, ProgressEvent{
-		Algorithm: "mcmc", Chain: chain, Iter: res.Iters,
-		BestCost: res.BestCost, Elapsed: virtual(res.Iters), Final: true,
+		Algorithm: "mcmc", Chain: chain, Iter: draws,
+		BestCost: res.BestCost, Elapsed: virtual(draws), Final: true,
 	})
 	return res
 }

@@ -28,7 +28,10 @@ type ProgressEvent struct {
 	// index, or the polish round.
 	Chain int
 	// Iter counts proposals (episodes, leaves, rounds) completed by the
-	// emitting chain when the event fired.
+	// emitting chain when the event fired. For MCMC it is the chain's
+	// draw count, the same clock Elapsed and the budget charge: a draw
+	// skipped as a no-op or as memory-infeasible counts, though it is
+	// not a priced proposal in Result.Iters.
 	Iter int
 	// BestCost is the best simulated iteration time known to the
 	// emitting chain.

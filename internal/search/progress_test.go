@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -151,5 +152,66 @@ func TestVirtualTimeDriftReport(t *testing.T) {
 					name, d, maxAttempts)
 			}
 		}
+	}
+}
+
+// flatCost charges every proposal the same virtual time.
+type flatCost time.Duration
+
+func (c flatCost) ProposalCost(string, int, bool) time.Duration { return time.Duration(c) }
+
+// TestMCMCFinalEventClock pins MCMC's progress events to one clock, the
+// chain's draws: on fatModel under MemoryCheck 143 of 150 draws are
+// skipped as infeasible, yet each still advances the virtual clock, so
+// each chain's final event must report the draws taken and their
+// virtual time, at least as far as any earlier event of the chain.
+func TestMCMCFinalEventClock(t *testing.T) {
+	const price = time.Millisecond
+	g, topo, init := fatModel()
+	for _, tc := range []struct {
+		name   string
+		budget time.Duration
+		draws  int
+	}{
+		{"unbudgeted", 0, 150},
+		{"budgeted", 40 * price, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			events := map[int][]ProgressEvent{}
+			opts := DefaultOptions()
+			opts.MaxIters = 150
+			opts.Seed = 5
+			opts.MemoryCheck = true
+			opts.Budget = tc.budget
+			opts.Cost = flatCost(price)
+			opts.OnEvent = func(ev ProgressEvent) {
+				mu.Lock()
+				events[ev.Chain] = append(events[ev.Chain], ev)
+				mu.Unlock()
+			}
+			res := MCMC(context.Background(), g, topo, perfmodel.NewAnalyticModel(), []*config.Strategy{init}, opts)
+			if res.Iters >= tc.draws {
+				t.Fatalf("%d priced proposals in %d draws: the run skips none, so it cannot tell the clocks apart", res.Iters, tc.draws)
+			}
+			if len(events) == 0 {
+				t.Fatal("no progress events")
+			}
+			for chain, evs := range events {
+				final := evs[len(evs)-1]
+				if !final.Final {
+					t.Fatalf("chain %d: last event %+v is not final", chain, final)
+				}
+				if final.Iter != tc.draws || final.Elapsed != time.Duration(tc.draws)*price {
+					t.Errorf("chain %d: final event at Iter %d, Elapsed %v; the chain stopped after %d draws, %v",
+						chain, final.Iter, final.Elapsed, tc.draws, time.Duration(tc.draws)*price)
+				}
+				for _, ev := range evs[:len(evs)-1] {
+					if ev.Final || ev.Iter > final.Iter || ev.Elapsed > final.Elapsed {
+						t.Errorf("chain %d: event %+v comes before the final one %+v", chain, ev, final)
+					}
+				}
+			}
+		})
 	}
 }

@@ -8,9 +8,10 @@ import (
 // lruCache is a string-keyed map bounded by entry count with
 // least-recently-used eviction. The server keeps two: the strategy
 // cache (fingerprint -> the rendered body of a cache hit) and the
-// graph memo (graph source -> that graph's share of the fingerprint).
-// Entries of both are small (a compact strategy JSON plus counters, or
-// a hash state), so a count bound is an adequate proxy for memory.
+// request index (SHA-256 of a request body -> the fingerprint it
+// decoded to). Entries of both are small (a compact strategy JSON plus
+// counters, or a key string), so a count bound is an adequate proxy
+// for memory.
 // Only complete, deterministic results are stored in the strategy
 // cache (see Server.run), which is what entitles a hit to stand in for
 // a re-run.

@@ -20,11 +20,6 @@ type metrics struct {
 	// no_cache, or uncacheable ones, perform no lookup).
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-	// memoHits / memoMisses count graph-memo lookups (a hit skips the
-	// graph build and walk; requests with an initial strategy, and
-	// every request when caching is disabled, perform no lookup).
-	memoHits   atomic.Int64
-	memoMisses atomic.Int64
 	// indexHits / indexMisses count request-index lookups (a hit is
 	// answered without decoding the body and also counts as a cache
 	// hit; a known body whose strategy was since evicted counts as a
@@ -59,8 +54,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "flexflowd_cache_hits_total %d\n", s.met.cacheHits.Load())
 	fmt.Fprintf(w, "flexflowd_cache_misses_total %d\n", s.met.cacheMisses.Load())
 	fmt.Fprintf(w, "flexflowd_cache_entries %d\n", entries)
-	fmt.Fprintf(w, "flexflowd_graph_memo_hits_total %d\n", s.met.memoHits.Load())
-	fmt.Fprintf(w, "flexflowd_graph_memo_misses_total %d\n", s.met.memoMisses.Load())
 	fmt.Fprintf(w, "flexflowd_request_index_hits_total %d\n", s.met.indexHits.Load())
 	fmt.Fprintf(w, "flexflowd_request_index_misses_total %d\n", s.met.indexMisses.Load())
 	fmt.Fprintf(w, "flexflowd_job_panics_total %d\n", s.met.jobPanics.Load())

@@ -2,12 +2,10 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"flexflow"
@@ -92,12 +90,8 @@ type optimizeResponse struct {
 
 // request is a decoded, validated optimize request.
 type request struct {
-	wire optimizeRequest
-	// prob.Graph stays nil when the graph memo answered for it: a cache
-	// hit or a coalesced join never needs the graph, and a search builds
-	// it on its job (see Server.run).
+	wire      optimizeRequest
 	prob      flexflow.Problem
-	graphFP   flexflow.GraphFingerprint
 	algorithm string
 	opts      flexflow.OptimizeOptions
 	timeout   time.Duration
@@ -141,10 +135,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // decodeRequest parses and validates a POST /v1/optimize body into a
-// runnable request. Every check that needs no graph runs first; the
-// graph itself is built only when the graph memo has not seen its
-// source or an initial strategy must be validated against it. All
-// errors are client errors (400).
+// runnable request. Every check that needs no graph runs first, then
+// the graph is built and the initial strategy, if any, is validated
+// against it. All errors are client errors (400).
 func (s *Server) decodeRequest(body []byte) (*request, error) {
 	var wire optimizeRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -202,66 +195,24 @@ func (s *Server) decodeRequest(body []byte) (*request, error) {
 		timeout = s.opts.MaxTimeout
 	}
 
-	req := &request{
-		wire:      wire,
-		prob:      flexflow.Problem{Topology: topo},
-		algorithm: algorithm,
-		opts:      opts,
-		timeout:   timeout,
-	}
-	if err := s.resolveGraph(req); err != nil {
+	g, err := buildGraph(&wire)
+	if err != nil {
 		return nil, err
 	}
 	if len(wire.Initial) > 0 {
-		initial, err := flexflow.ImportStrategy(wire.Initial, req.prob.Graph, topo)
+		initial, err := flexflow.ImportStrategy(wire.Initial, g, topo)
 		if err != nil {
 			return nil, fmt.Errorf("initial strategy: %w", err)
 		}
-		req.opts.Initial = initial
+		opts.Initial = initial
 	}
-	return req, nil
-}
-
-// resolveGraph sets the request's graph fingerprint: from the graph
-// memo when the request's graph source was seen before, else by
-// building the graph — which a request with an initial strategy
-// always does, to validate the strategy against it. Only a graph that
-// built (and so validated) enters the memo.
-func (s *Server) resolveGraph(req *request) error {
-	var key string
-	if s.memo != nil {
-		key = graphSourceKey(&req.wire)
-		if len(req.wire.Initial) == 0 {
-			if gf, ok := s.memo.get(key); ok {
-				s.met.memoHits.Add(1)
-				req.graphFP = gf
-				return nil
-			}
-			s.met.memoMisses.Add(1)
-		}
-	}
-	g, err := buildGraph(&req.wire)
-	if err != nil {
-		return err
-	}
-	req.prob.Graph = g
-	req.graphFP = flexflow.FingerprintGraph(g)
-	if s.memo != nil {
-		s.memo.put(key, req.graphFP)
-	}
-	return nil
-}
-
-// graphSourceKey is the graph memo's key: the model-zoo name and scale,
-// or the SHA-256 of the inline graph's bytes as sent (so the same graph
-// re-sent with different whitespace is a memo miss, though still the
-// same fingerprint).
-func graphSourceKey(wire *optimizeRequest) string {
-	if wire.Model != "" {
-		return "zoo " + strconv.Itoa(wire.Scale) + " " + wire.Model
-	}
-	sum := sha256.Sum256(wire.Graph)
-	return "graph " + string(sum[:])
+	return &request{
+		wire:      wire,
+		prob:      flexflow.Problem{Graph: g, Topology: topo},
+		algorithm: algorithm,
+		opts:      opts,
+		timeout:   timeout,
+	}, nil
 }
 
 // checkGraphSource validates the request's graph source without

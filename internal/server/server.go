@@ -75,12 +75,10 @@ type Server struct {
 	running map[*job]struct{} // every in-flight search, for Drain cancellation
 	// cache maps a fingerprint to the compact JSON body of its cache
 	// hit (json.Marshal of the response with cached set), rendered once
-	// when the search finished; memo maps a graph source to that
-	// graph's share of the fingerprint; index maps the SHA-256 of a
-	// request body to the fingerprint those bytes decoded to. All three
-	// are nil when caching is disabled.
+	// when the search finished; index maps the SHA-256 of a request
+	// body to the fingerprint those bytes decoded to. Both are nil when
+	// caching is disabled.
 	cache *lruCache[[]byte]
-	memo  *lruCache[flexflow.GraphFingerprint]
 	index *lruCache[string]
 
 	met metrics
@@ -112,7 +110,6 @@ func New(opts Options) *Server {
 	}
 	if size > 0 {
 		s.cache = newLRUCache[[]byte](size)
-		s.memo = newLRUCache[flexflow.GraphFingerprint](size)
 		s.index = newLRUCache[string](size)
 	}
 	s.mux = http.NewServeMux()
@@ -204,9 +201,8 @@ func (j *job) publish(ev flexflow.ProgressEvent) {
 // plain JSON response or an SSE stream depending on the Accept header.
 // A repeat of a body already seen is a hash of its bytes, two lookups
 // (request index, then strategy cache) and one write of the stored
-// body; any other cache hit is a request decode (which the graph memo
-// spares the graph build), one fingerprint finish, one lookup and one
-// write.
+// body; any other cache hit is a request decode (which builds the
+// graph), one fingerprint, one lookup and one write.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -239,7 +235,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	fp, fpErr := req.graphFP.Fingerprint(req.prob, req.algorithm, req.opts)
+	fp, fpErr := flexflow.Fingerprint(req.prob, req.algorithm, req.opts)
 	// Only an unbudgeted fingerprint is a function of the body alone (and
 	// the server's fixed Options): a budgeted one also hashes the
 	// process-wide cost profile, which may change between two identical
@@ -381,18 +377,12 @@ func (s *Server) startJob(fp string, dedup, store bool, req *request) *job {
 // stored in the cache (when store is set); a deadline-cut result is
 // returned with timed_out set but never cached, because a wall-clock
 // truncation is not the deterministic full-search answer the
-// fingerprint promises. The graph is built here when the graph memo
-// spared decodeRequest the build.
+// fingerprint promises.
 func (s *Server) run(ctx context.Context, fp string, store bool, req *request, opts flexflow.OptimizeOptions) (*optimizeResponse, int, error) {
 	algorithm, prob := req.algorithm, req.prob
 	opt, err := flexflow.GetOptimizer(algorithm)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
-	}
-	if prob.Graph == nil {
-		if prob.Graph, err = buildGraph(&req.wire); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
 	}
 	res, err := opt.Optimize(ctx, prob, opts)
 	s.met.proposals.Add(int64(res.Iters))

@@ -269,9 +269,9 @@ func TestInlineGraphHitsModelCache(t *testing.T) {
 		t.Fatal("inline form got a different strategy")
 	}
 
-	// The same graph with different whitespace is a different graph
-	// source, so the memo misses — but it is the same graph, so the
-	// fingerprint and the cache entry are the same.
+	// The same graph with different whitespace is new bytes, so the
+	// request index misses and the body is decoded — but it is the same
+	// graph, so the fingerprint and the cache entry are the same.
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, gdata); err != nil {
 		t.Fatal(err)
@@ -279,14 +279,14 @@ func TestInlineGraphHitsModelCache(t *testing.T) {
 	if bytes.Equal(compact.Bytes(), gdata) {
 		t.Fatal("compacting the exported graph changed nothing; the test needs different bytes")
 	}
-	misses := scrapeMetric(t, ts, "flexflowd_graph_memo_misses_total")
+	misses := scrapeMetric(t, ts, "flexflowd_request_index_misses_total")
 	resp, third := postJSON(t, ts, fmt.Sprintf(`{"graph":%s,"topology":%s,"algorithm":"mcmc",
 		"options":{"max_iters":60,"seed":5,"timeout_ms":30000}}`, compact.Bytes(), tdata))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-spaced inline request: status %d", resp.StatusCode)
 	}
-	if got := scrapeMetric(t, ts, "flexflowd_graph_memo_misses_total"); got != misses+1 {
-		t.Fatalf("re-spaced inline graph: memo misses %g -> %g, want one more", misses, got)
+	if got := scrapeMetric(t, ts, "flexflowd_request_index_misses_total"); got != misses+1 {
+		t.Fatalf("re-spaced inline graph: request index misses %g -> %g, want one more", misses, got)
 	}
 	if !third.Cached || third.Fingerprint != first.Fingerprint {
 		t.Fatalf("re-spaced inline graph: cached %v, fingerprint %s, want a hit on %s",
@@ -300,9 +300,9 @@ func TestInlineGraphHitsModelCache(t *testing.T) {
 // TestHitBodyMatchesMiss pins the hit path's bytes: a cache hit writes
 // the stored body, which equals the miss's body except for "cached",
 // and an SSE hit's result frame carries those same stored bytes. The
-// identical repeat is a request-index hit, which never decodes the body
-// (so the graph memo sees no lookup); a re-spaced repeat takes the
-// decode path, and both answer with the same bytes.
+// identical repeat is a request-index hit, which never decodes the body;
+// a re-spaced repeat is an index miss that takes the decode path, and
+// both answer with the same bytes.
 func TestHitBodyMatchesMiss(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv)
@@ -312,7 +312,7 @@ func TestHitBodyMatchesMiss(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("miss: status %d: %s", status, miss)
 	}
-	memoHits, memoMisses := srv.met.memoHits.Load(), srv.met.memoMisses.Load()
+	indexMisses := srv.met.indexMisses.Load()
 	status, hit := postRaw(t, ts, optBody("mcmc", 13, ""))
 	if status != http.StatusOK {
 		t.Fatalf("hit: status %d: %s", status, hit)
@@ -320,17 +320,17 @@ func TestHitBodyMatchesMiss(t *testing.T) {
 	if h := srv.met.indexHits.Load(); h != 1 {
 		t.Fatalf("identical repeat: request index hits = %d, want 1", h)
 	}
-	if h, m := srv.met.memoHits.Load(), srv.met.memoMisses.Load(); h != memoHits || m != memoMisses {
-		t.Fatalf("an index hit looked up the graph memo: hits/misses %d/%d -> %d/%d", memoHits, memoMisses, h, m)
+	if m := srv.met.indexMisses.Load(); m != indexMisses {
+		t.Fatalf("identical repeat: request index misses %d -> %d, want it answered without a decode", indexMisses, m)
 	}
 	// Trailing whitespace makes new bytes for the same request: an index
-	// miss that decodes, hits the memo and then the strategy cache.
+	// miss that decodes and then hits the strategy cache.
 	status, decoded := postRaw(t, ts, optBody("mcmc", 13, "")+" ")
 	if status != http.StatusOK {
 		t.Fatalf("decode-path hit: status %d: %s", status, decoded)
 	}
-	if h := srv.met.memoHits.Load(); h != memoHits+1 {
-		t.Fatalf("re-spaced repeat: memo hits %d -> %d, want it to take the decode path", memoHits, h)
+	if m := srv.met.indexMisses.Load(); m != indexMisses+1 {
+		t.Fatalf("re-spaced repeat: request index misses %d -> %d, want it to take the decode path", indexMisses, m)
 	}
 	if !bytes.Equal(hit, decoded) {
 		t.Fatalf("index hit and decode-path hit differ:\n index  %s\n decode %s", hit, decoded)
@@ -368,108 +368,6 @@ func TestHitBodyMatchesMiss(t *testing.T) {
 	}
 	if fmt.Sprint(decodedEvents) != fmt.Sprint(events) {
 		t.Fatalf("SSE index hit %q and decode-path hit %q differ", events, decodedEvents)
-	}
-}
-
-// decodeBody runs decodeRequest on an optimize body.
-func decodeBody(t *testing.T, srv *Server, body string) *request {
-	t.Helper()
-	req, err := srv.decodeRequest([]byte(body))
-	if err != nil {
-		t.Fatalf("decoding %s: %v", body, err)
-	}
-	return req
-}
-
-// TestMemoFingerprintMatches asserts the memoized fingerprint of every
-// graph-source shape equals flexflow.Fingerprint of the built problem,
-// on the decode that fills the memo and on the one it answers.
-func TestMemoFingerprintMatches(t *testing.T) {
-	g, err := flexflow.ModelScaled("lenet", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := flexflow.NewSingleNode(2, "P100")
-	gdata, err := flexflow.ExportGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tdata, err := flexflow.ExportTopology(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdata, err := flexflow.ExportStrategy(g, flexflow.DataParallel(g, topo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := `"options":{"max_iters":60,"seed":3}`
-	cases := []struct{ name, body string }{
-		{"zoo", `{"model":"lenet","gpus":2,` + opts + `}`},
-		{"scaled zoo", `{"model":"lenet","scale":16,"gpus":2,` + opts + `}`},
-		{"inline graph", fmt.Sprintf(`{"graph":%s,"gpus":2,%s}`, gdata, opts)},
-		{"inline topology", fmt.Sprintf(`{"model":"lenet","scale":16,"topology":%s,%s}`, tdata, opts)},
-		{"initial", fmt.Sprintf(`{"model":"lenet","scale":16,"gpus":2,"initial":%s,%s}`, sdata, opts)},
-	}
-	srv := New(Options{})
-	for _, c := range cases {
-		name, body := c.name, c.body
-		for pass := 0; pass < 2; pass++ {
-			req := decodeBody(t, srv, body)
-			if pass == 1 && len(req.wire.Initial) == 0 && req.prob.Graph != nil {
-				t.Errorf("%s: repeat decode built the graph despite the memo", name)
-			}
-			got, err := req.graphFP.Fingerprint(req.prob, req.algorithm, req.opts)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			built, err := buildGraph(&req.wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := flexflow.Fingerprint(flexflow.Problem{Graph: built, Topology: req.prob.Topology}, req.algorithm, req.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("%s pass %d: memoized fingerprint %s != Fingerprint %s", name, pass, got, want)
-			}
-		}
-	}
-	// Zoo, scaled zoo and inline graph each miss once and fill one
-	// entry; the inline topology hits the scaled zoo's twice, and the
-	// initial strategy never looks the memo up.
-	if h, m := srv.met.memoHits.Load(), srv.met.memoMisses.Load(); h != 5 || m != 3 {
-		t.Fatalf("memo hits/misses = %d/%d, want 5/3", h, m)
-	}
-}
-
-// TestMemoBounded asserts the graph memo is an LRU bounded like the
-// strategy cache and that an invalid graph never enters it.
-func TestMemoBounded(t *testing.T) {
-	srv := New(Options{CacheSize: 1})
-	a := `{"model":"lenet","scale":16,"gpus":2}`
-	b := `{"model":"lenet","scale":8,"gpus":2}`
-	for _, body := range []string{a, b, a} {
-		decodeBody(t, srv, body)
-	}
-	if h, m, n := srv.met.memoHits.Load(), srv.met.memoMisses.Load(), srv.memo.len(); h != 0 || m != 3 || n != 1 {
-		t.Fatalf("memo hits/misses/entries = %d/%d/%d, want 0/3/1 (the second source evicts the first)", h, m, n)
-	}
-	decodeBody(t, srv, a)
-	if h := srv.met.memoHits.Load(); h != 1 {
-		t.Fatalf("memo hits = %d after repeating the last source, want 1", h)
-	}
-
-	ts := httptest.NewServer(New(Options{}))
-	defer ts.Close()
-	bad := `{"graph":{"name":"g","ops":[{"name":"x","kind":"Warp"}]},"gpus":2}`
-	for i := 0; i < 2; i++ {
-		if status, body := postRaw(t, ts, bad); status != http.StatusBadRequest {
-			t.Fatalf("invalid inline graph, try %d: status %d: %s", i, status, body)
-		}
-	}
-	if h := scrapeMetric(t, ts, "flexflowd_graph_memo_hits_total"); h != 0 {
-		t.Fatalf("an invalid inline graph entered the memo: memo hits = %g", h)
 	}
 }
 
@@ -897,9 +795,9 @@ func TestDeletedLocalityRejected(t *testing.T) {
 }
 
 // TestBadRequests drives every request-validation path to a 400, with
-// the graph memo and request index cold and again once good bodies
-// have warmed both, so that no check is skipped on a memo or index
-// hit, and asserts no rejected body ever enters the index.
+// the request index cold and again once good bodies have warmed it, so
+// that no check is skipped on an index hit, and asserts no rejected
+// body ever enters the index.
 func TestBadRequests(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv)
@@ -914,20 +812,10 @@ func TestBadRequests(t *testing.T) {
 			}
 		}
 	}
-	check("memo cold")
+	check("index cold")
 	if n := srv.index.len(); n != 0 {
 		t.Fatalf("rejected bodies entered the request index: %d entries", n)
 	}
-	for _, body := range []string{
-		`{"model":"lenet","gpus":2}`,
-		`{"model":"lenet","scale":16,"gpus":2}`,
-	} {
-		decodeBody(t, srv, body)
-	}
-	if n := srv.memo.len(); n != 2 {
-		t.Fatalf("memo holds %d entries after warming, want 2", n)
-	}
-	check("memo warm")
 	for seed := int64(1); seed <= 2; seed++ {
 		if status, body := postRaw(t, ts, optBody("mcmc", seed, "")); status != http.StatusOK {
 			t.Fatalf("warming the request index: status %d: %s", status, body)
@@ -1042,8 +930,8 @@ func TestRequestIndexBounded(t *testing.T) {
 	}
 
 	off := New(Options{CacheSize: -1})
-	if off.index != nil || off.cache != nil || off.memo != nil {
-		t.Fatal("caching disabled, yet the request index, cache or memo exists")
+	if off.index != nil || off.cache != nil {
+		t.Fatal("caching disabled, yet the request index or cache exists")
 	}
 	tsOff := httptest.NewServer(off)
 	defer tsOff.Close()

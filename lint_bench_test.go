@@ -49,183 +49,199 @@ func TestBenchTrajectoryFiles(t *testing.T) {
 	}
 }
 
-// TestBenchPR6DeltaSimImproves pins this PR's acceptance criterion in
-// the committed artifact: the CSR hot-path flattening must show
-// BenchmarkDeltaSimulation/nmt improving ns/op or allocs/op over the
-// pre-PR baseline recorded in the same file.
-func TestBenchPR6DeltaSimImproves(t *testing.T) {
-	f, err := benchjson.Load("BENCH_pr6.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const name = "BenchmarkDeltaSimulation/nmt"
-	base, ok := f.Baseline[name]
-	if !ok {
-		t.Fatalf("%s missing from baseline", name)
-	}
-	cur, ok := f.Benchmarks[name]
-	if !ok {
-		t.Fatalf("%s missing from benchmarks", name)
-	}
-	if cur.NsPerOp >= base.NsPerOp && cur.AllocsPerOp >= base.AllocsPerOp {
-		t.Fatalf("%s: current %+v does not improve on baseline %+v", name, cur, base)
-	}
+// benchFloor is one improvement a committed trajectory file claims:
+// in file, bench must beat its in-file baseline by at least factor
+// (cur*factor <= base, and strictly: cur < base) in one of fields, each
+// lower-is-better and recorded (> 0) on both sides.
+type benchFloor struct {
+	file, bench string
+	fields      []string
+	factor      float64
 }
 
-// TestBenchPR8ChainSetupImproves pins the copy-on-write acceptance
-// criterion in the committed artifact: BENCH_pr8.json must show
-// BenchmarkChainSetup/shared-plan allocating at least 5x fewer bytes
-// per op than the pre-CoW baseline recorded in the same file (Instance
-// no longer deep-copies the CSR), and must carry the synthetic
-// >=50k-task scale cases the PR adds to the tracked set.
-func TestBenchPR8ChainSetupImproves(t *testing.T) {
-	f, err := benchjson.Load("BENCH_pr8.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const name = "BenchmarkChainSetup/shared-plan"
-	base, ok := f.Baseline[name]
-	if !ok {
-		t.Fatalf("%s missing from baseline", name)
-	}
-	cur, ok := f.Benchmarks[name]
-	if !ok {
-		t.Fatalf("%s missing from benchmarks", name)
-	}
-	if base.BytesPerOp <= 0 || cur.BytesPerOp <= 0 {
-		t.Fatalf("%s: bytes/op not recorded (baseline %v, current %v) — run with -benchmem", name, base.BytesPerOp, cur.BytesPerOp)
-	}
-	if cur.BytesPerOp*5 > base.BytesPerOp {
-		t.Fatalf("%s: %v B/op is not a >=5x reduction of the baseline %v B/op", name, cur.BytesPerOp, base.BytesPerOp)
-	}
-	for _, scale := range []string{
-		"BenchmarkDeltaSimulation/synth-50k",
-		"BenchmarkProposalThroughputSynth50k",
-	} {
-		if _, ok := f.Benchmarks[scale]; !ok {
-			t.Errorf("%s missing from benchmarks: the >=50k-task scale cases are part of the tracked set", scale)
-		}
-	}
+// benchFloors are the committed claims the trajectory files must keep
+// holding, each under the change it came with.
+var benchFloors = []benchFloor{
+	// CSR hot-path flattening.
+	{"BENCH_pr6.json", "BenchmarkDeltaSimulation/nmt", []string{"ns_per_op", "allocs_per_op"}, 1},
+	// Copy-on-write Plan.Instance no longer deep-copies the CSR.
+	{"BENCH_pr8.json", "BenchmarkChainSetup/shared-plan", []string{"bytes_per_op"}, 5},
+	// Sparse timing state: CloneFor shares timing pages copy-on-write,
+	// and the 4-ary heap speeds up the large delta.
+	{"BENCH_pr9.json", "BenchmarkChainSetupSynth100k/shared-plan", []string{"bytes_per_op"}, 5},
+	{"BENCH_pr9.json", "BenchmarkDeltaSimulation/synth-50k", []string{"ns_per_op"}, 1.5},
 }
 
-// TestBenchPR9SparseTimingImproves pins the sparse-timing-state
-// acceptance criteria in the committed artifact: BENCH_pr9.json must
-// show (a) BenchmarkChainSetupSynth100k/shared-plan allocating at least
-// 5x fewer bytes per op than the deep-copy baseline recorded in the
-// same file (CloneFor now shares timing pages copy-on-write), (b)
-// BenchmarkDeltaSimulation/synth-50k at least 1.5x faster in ns/op than
-// its in-file baseline, and (c) the ProposalBatch sweep present in the
-// tracked set with batch=1 the measured winner on both synthetic
-// classes. That sweep is the evidence the option was deleted on: the
-// search now always prices one proposal at a time.
-func TestBenchPR9SparseTimingImproves(t *testing.T) {
-	f, err := benchjson.Load("BENCH_pr9.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string) (base, cur benchjson.Entry) {
-		t.Helper()
-		base, ok := f.Baseline[name]
-		if !ok {
-			t.Fatalf("%s missing from baseline", name)
-		}
-		cur, ok = f.Benchmarks[name]
-		if !ok {
-			t.Fatalf("%s missing from benchmarks", name)
-		}
-		return base, cur
-	}
+// benchPresence is a benchmark a trajectory file must record, with the
+// custom metrics that must be recorded (> 0) on it.
+type benchPresence struct {
+	file, bench string
+	metrics     []string
+}
 
-	clone := "BenchmarkChainSetupSynth100k/shared-plan"
-	base, cur := check(clone)
-	if base.BytesPerOp <= 0 || cur.BytesPerOp <= 0 {
-		t.Fatalf("%s: bytes/op not recorded (baseline %v, current %v) — run with -benchmem", clone, base.BytesPerOp, cur.BytesPerOp)
-	}
-	if cur.BytesPerOp*5 > base.BytesPerOp {
-		t.Fatalf("%s: %v B/op is not a >=5x reduction of the baseline %v B/op", clone, cur.BytesPerOp, base.BytesPerOp)
-	}
+// Custom metrics of the locality sweep.
+const (
+	makespanMetric = "best-makespan-us"
+	suffixMetric   = "suffix-tasks/proposal"
+)
 
-	delta := "BenchmarkDeltaSimulation/synth-50k"
-	base, cur = check(delta)
-	if cur.NsPerOp*1.5 > base.NsPerOp {
-		t.Fatalf("%s: %v ns/op is not a >=1.5x improvement of the baseline %v ns/op", delta, cur.NsPerOp, base.NsPerOp)
+// benchPresences are the tracked sets: the >=50k-task scale cases, the
+// ProposalBatch sweep (the evidence that option was deleted on) and
+// the locality sweep (the evidence the late-biased and stratified
+// policies were deleted on).
+var benchPresences = func() []benchPresence {
+	rows := []benchPresence{
+		{file: "BENCH_pr8.json", bench: "BenchmarkDeltaSimulation/synth-50k"},
+		{file: "BENCH_pr8.json", bench: "BenchmarkProposalThroughputSynth50k"},
 	}
-
 	for _, model := range []string{"synth-2k", "synth-50k"} {
-		winner, ok := f.Benchmarks["BenchmarkMCMCProposalBatch/"+model+"/batch=1"]
-		if !ok {
-			t.Errorf("ProposalBatch sweep missing batch=1 on %s", model)
-			continue
+		for _, batch := range []string{"1", "4", "8", "16"} {
+			rows = append(rows, benchPresence{file: "BENCH_pr9.json", bench: "BenchmarkMCMCProposalBatch/" + model + "/batch=" + batch})
 		}
-		for _, batch := range []string{"4", "8", "16"} {
-			name := "BenchmarkMCMCProposalBatch/" + model + "/batch=" + batch
-			e, ok := f.Benchmarks[name]
-			if !ok {
-				t.Errorf("%s missing from benchmarks: the sweep is part of the tracked set", name)
-				continue
-			}
-			if e.NsPerOp < winner.NsPerOp {
-				t.Errorf("%s (%v ns/op) beats batch=1 (%v ns/op): the pinned default no longer matches the committed sweep", name, e.NsPerOp, winner.NsPerOp)
-			}
-		}
-	}
-}
-
-// TestBenchPR10LocalityImproves pins the locality-aware proposal
-// acceptance criteria in the committed artifact: BENCH_pr10.json must
-// record the full uniform/late-biased/measured sweep on both synthetic
-// classes, and on synth-50k at least one non-uniform policy must beat
-// uniform by the PR's bar — either >=1.3x better best-makespan at the
-// same iteration budget, or equal-quality search (best makespan within
-// 5% of uniform) at >=1.3x fewer evaluated suffix tasks per proposal.
-// The numbers are the committed ones (regenerated per
-// docs/EXPERIMENTS.md), not re-measured in CI. The sweep is also the
-// evidence the late-biased and stratified policies were deleted on:
-// late-biased trailed measured by a wide margin, and stratified never
-// beat uniform.
-func TestBenchPR10LocalityImproves(t *testing.T) {
-	f, err := benchjson.Load("BENCH_pr10.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		makespanMetric = "best-makespan-us"
-		suffixMetric   = "suffix-tasks/proposal"
-	)
-	entry := func(model, locality string) benchjson.Entry {
-		t.Helper()
-		name := "BenchmarkMCMCLocality/" + model + "/locality=" + locality
-		e, ok := f.Benchmarks[name]
-		if !ok {
-			t.Fatalf("%s missing from benchmarks: the locality sweep is the tracked set", name)
-		}
-		for _, m := range []string{makespanMetric, suffixMetric} {
-			if e.Metrics[m] <= 0 {
-				t.Fatalf("%s: metric %s not recorded", name, m)
-			}
-		}
-		return e
 	}
 	for _, model := range []string{"synth-50k", "synth-100k"} {
 		for _, locality := range []string{"uniform", "late-biased", "measured"} {
-			entry(model, locality)
+			rows = append(rows, benchPresence{"BENCH_pr10.json", "BenchmarkMCMCLocality/" + model + "/locality=" + locality,
+				[]string{makespanMetric, suffixMetric}})
 		}
 	}
+	return rows
+}()
 
-	uniform := entry("synth-50k", "uniform")
-	passed := false
-	for _, locality := range []string{"late-biased", "measured"} {
-		e := entry("synth-50k", locality)
-		fasterToQuality := uniform.Metrics[makespanMetric] >= 1.3*e.Metrics[makespanMetric]
-		equalQuality := e.Metrics[makespanMetric] <= 1.05*uniform.Metrics[makespanMetric]
-		cheaperSuffix := uniform.Metrics[suffixMetric] >= 1.3*e.Metrics[suffixMetric]
-		if fasterToQuality || (equalQuality && cheaperSuffix) {
-			passed = true
-		}
+// benchField reads one lower-is-better field of an entry.
+func benchField(e benchjson.Entry, field string) float64 {
+	switch field {
+	case "ns_per_op":
+		return e.NsPerOp
+	case "bytes_per_op":
+		return e.BytesPerOp
+	case "allocs_per_op":
+		return e.AllocsPerOp
 	}
-	if !passed {
-		t.Fatalf("no non-uniform policy meets the bar on synth-50k: need >=1.3x better %s, or %s within 5%% of uniform at >=1.3x fewer %s (uniform: makespan %v, suffix %v)",
-			makespanMetric, makespanMetric, suffixMetric,
-			uniform.Metrics[makespanMetric], uniform.Metrics[suffixMetric])
+	panic("unknown bench field " + field)
+}
+
+// benchOrderings are the claims that compare benchmarks within one
+// file rather than against its baseline.
+var benchOrderings = []struct {
+	file, name string
+	check      func(t *testing.T, f *benchjson.File)
+}{
+	{"BENCH_pr9.json", "batch=1 wins", func(t *testing.T, f *benchjson.File) {
+		for _, model := range []string{"synth-2k", "synth-50k"} {
+			prefix := "BenchmarkMCMCProposalBatch/" + model + "/batch="
+			winner := benchLookup(t, f.Benchmarks, "benchmarks", prefix+"1")
+			for _, batch := range []string{"4", "8", "16"} {
+				e := benchLookup(t, f.Benchmarks, "benchmarks", prefix+batch)
+				if e.NsPerOp < winner.NsPerOp {
+					t.Errorf("%s%s (%v ns/op) beats batch=1 (%v ns/op)", prefix, batch, e.NsPerOp, winner.NsPerOp)
+				}
+			}
+		}
+	}},
+	// The locality bar: on synth-50k some non-uniform policy is either
+	// >=1.3x better in best makespan at the same iteration budget, or
+	// within 5% of uniform's best makespan at >=1.3x fewer evaluated
+	// suffix tasks per proposal.
+	{"BENCH_pr10.json", "locality bar", func(t *testing.T, f *benchjson.File) {
+		entry := func(locality string) map[string]float64 {
+			return benchLookup(t, f.Benchmarks, "benchmarks", "BenchmarkMCMCLocality/synth-50k/locality="+locality).Metrics
+		}
+		uniform := entry("uniform")
+		for _, locality := range []string{"late-biased", "measured"} {
+			e := entry(locality)
+			fasterToQuality := uniform[makespanMetric] >= 1.3*e[makespanMetric]
+			equalQuality := e[makespanMetric] <= 1.05*uniform[makespanMetric]
+			cheaperSuffix := uniform[suffixMetric] >= 1.3*e[suffixMetric]
+			if fasterToQuality || (equalQuality && cheaperSuffix) {
+				return
+			}
+		}
+		t.Fatalf("no non-uniform policy meets the bar on synth-50k (uniform: makespan %v, suffix %v)",
+			uniform[makespanMetric], uniform[suffixMetric])
+	}},
+}
+
+// benchLookup returns bench from set (the file's baseline or
+// benchmarks, named by where), failing the test when it is missing.
+func benchLookup(t *testing.T, set map[string]benchjson.Entry, where, bench string) benchjson.Entry {
+	t.Helper()
+	e, ok := set[bench]
+	if !ok {
+		t.Fatalf("%s missing from %s", bench, where)
+	}
+	return e
+}
+
+// checkBenchFloors is the one floor check over the committed
+// trajectory files, in their own numbers (not re-measured in CI): it
+// runs every benchFloors, benchPresences and benchOrderings row of
+// file as a subtest.
+func checkBenchFloors(t *testing.T, file string) {
+	f, err := benchjson.Load(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, row := range benchFloors {
+		if row.file != file {
+			continue
+		}
+		rows++
+		t.Run(row.bench, func(t *testing.T) {
+			base := benchLookup(t, f.Baseline, "baseline", row.bench)
+			cur := benchLookup(t, f.Benchmarks, "benchmarks", row.bench)
+			for _, field := range row.fields {
+				b, c := benchField(base, field), benchField(cur, field)
+				if b <= 0 || c <= 0 {
+					t.Fatalf("%s: %s not recorded (baseline %v, current %v)", row.bench, field, b, c)
+				}
+				if c*row.factor <= b && c < b {
+					return
+				}
+			}
+			t.Fatalf("%s: current %+v does not beat baseline %+v by %gx in any of %v", row.bench, cur, base, row.factor, row.fields)
+		})
+	}
+	for _, row := range benchPresences {
+		if row.file != file {
+			continue
+		}
+		rows++
+		t.Run(row.bench, func(t *testing.T) {
+			e := benchLookup(t, f.Benchmarks, "benchmarks", row.bench)
+			for _, m := range row.metrics {
+				if e.Metrics[m] <= 0 {
+					t.Errorf("%s: metric %s not recorded", row.bench, m)
+				}
+			}
+		})
+	}
+	for _, row := range benchOrderings {
+		if row.file != file {
+			continue
+		}
+		rows++
+		t.Run(row.name, func(t *testing.T) { row.check(t, f) })
+	}
+	if rows == 0 {
+		t.Fatalf("no floor rows for %s", file)
 	}
 }
+
+// Each trajectory file that makes a claim has one entry point into the
+// floor check.
+
+// TestBenchPR6DeltaSimImproves: the CSR hot-path flattening.
+func TestBenchPR6DeltaSimImproves(t *testing.T) { checkBenchFloors(t, "BENCH_pr6.json") }
+
+// TestBenchPR8ChainSetupImproves: copy-on-write plans and the >=50k-task
+// scale cases.
+func TestBenchPR8ChainSetupImproves(t *testing.T) { checkBenchFloors(t, "BENCH_pr8.json") }
+
+// TestBenchPR9SparseTimingImproves: sparse timing state and the
+// ProposalBatch sweep.
+func TestBenchPR9SparseTimingImproves(t *testing.T) { checkBenchFloors(t, "BENCH_pr9.json") }
+
+// TestBenchPR10LocalityImproves: the locality sweep and its bar.
+func TestBenchPR10LocalityImproves(t *testing.T) { checkBenchFloors(t, "BENCH_pr10.json") }
