@@ -11,7 +11,6 @@ package flexflow
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -449,53 +448,6 @@ func benchProposalThroughput(b *testing.B, model string, factor int) {
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N*batch)/secs, "proposals/sec/core")
-	}
-}
-
-// BenchmarkMCMCLocality is the proposal-locality sweep behind
-// Options.Locality (the BENCH_pr10.json trajectory artifact, gated by
-// TestBenchPR10LocalityImproves' locality bar): one single-chain delta-mode MCMC walk
-// per policy on the synthetic 50k- and 100k-task classes, every policy
-// at the same iteration budget from the same data-parallel start. Each
-// run reports two custom metrics next to ns/op: best-makespan-us (the
-// search quality the walk reached) and suffix-tasks/proposal (the mean
-// evaluated-suffix size the delta simulator paid per proposal — the
-// quantity locality-aware sampling exists to shrink). The acceptance
-// comparison is within-file across policies: measured must either beat
-// uniform's makespan >=1.3x at the equal budget, or match its quality
-// while re-evaluating >=1.3x fewer suffix tasks.
-func BenchmarkMCMCLocality(b *testing.B) {
-	for _, c := range []struct {
-		model string
-		iters int
-	}{
-		{"synth-50k", 240},
-		{"synth-100k", 240},
-	} {
-		g := benchGraph(b, c.model, 1)
-		topo := device.NewSingleNode(4, "P100")
-		initials := []*config.Strategy{config.DataParallel(g, topo)}
-		for _, loc := range search.Localities() {
-			b.Run(fmt.Sprintf("%s/locality=%s", c.model, loc), func(b *testing.B) {
-				var best time.Duration
-				var suffix, iters int64
-				for i := 0; i < b.N; i++ {
-					est := newEstimator()
-					opts := search.DefaultOptions()
-					opts.MaxIters = c.iters
-					opts.Locality = loc
-					res := search.MCMC(context.Background(), g, topo, est, initials, opts)
-					if res.Best == nil || res.Iters == 0 {
-						b.Fatalf("locality=%s: degenerate search: %+v", loc, res)
-					}
-					best = res.BestCost
-					suffix += res.SimStats.SuffixTasks
-					iters += int64(res.Iters)
-				}
-				b.ReportMetric(float64(best.Microseconds()), "best-makespan-us")
-				b.ReportMetric(float64(suffix)/float64(iters), "suffix-tasks/proposal")
-			})
-		}
 	}
 }
 

@@ -46,7 +46,6 @@ func main() {
 		iters    = flag.Int("iters", 1000, "MCMC proposals per initial strategy (episodes for reinforce, rounds for polish)")
 		budget   = flag.Duration("budget", 30*time.Second, "virtual-time search budget per chain (deterministic; 0 = none)")
 		seed     = flag.Int64("seed", 1, "search seed")
-		locality = flag.String("locality", "", "MCMC proposal-locality policy: "+strings.Join(flexflow.Localities(), ", ")+" (default uniform)")
 		workers  = flag.Int("workers", 0, "size of the process-wide worker pool all search parallelism shares (0 = all CPUs; results are identical for any value)")
 		progress = flag.Bool("progress", false, "stream best-so-far improvements while the search runs")
 		verbose  = flag.Bool("verbose", false, "print the per-op configuration of the best strategy")
@@ -164,7 +163,6 @@ func main() {
 		}
 		opts := flexflow.OptimizeOptions{
 			MaxIters: *iters, Budget: *budget, Seed: *seed, IncludeExpert: true,
-			Locality: *locality,
 		}
 		if *progress {
 			// Events arrive concurrently from the optimizer's workers;

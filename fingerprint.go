@@ -25,8 +25,9 @@ import (
 // FingerprintVersion tags the fingerprint layout. It participates in
 // the hash, so bumping it (when the walk below changes shape) migrates
 // every cached key at once instead of aliasing old entries. v2 added
-// the result-affecting Locality option to the opts line.
-const FingerprintVersion = 2
+// a locality policy to the opts line; v3 dropped it again when MCMC
+// went back to the one uniform op draw.
+const FingerprintVersion = 3
 
 // Fingerprint returns the content-addressed cache key of an optimize
 // request: a hex SHA-256 over the graph structure (including every
@@ -56,20 +57,9 @@ func Fingerprint(p Problem, algorithm string, opts OptimizeOptions) (string, err
 	writeGraph(h, p.Graph)
 	writeTopology(h, p.Topology)
 	fmt.Fprintf(h, "algo %s\n", algorithm)
-	// Locality is hashed in normalized form: "" and "uniform" are the
-	// same walk by contract, so they must share a cache key. The
-	// measured policy's per-op EMA is deliberately NOT an input here —
-	// it is per-chain runtime state derived deterministically from the
-	// hashed inputs (seed, policy, graph, topology), never supplied by
-	// the caller, so two requests with equal fingerprints still evolve
-	// identical EMAs and produce the same strategy.
-	loc, err := search.ParseLocality(opts.Locality)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(h, "opts iters=%d budget=%d beta=%g seed=%d expert=%t maxdeg=%d maxcand=%d fullsim=%t locality=%s\n",
+	fmt.Fprintf(h, "opts iters=%d budget=%d beta=%g seed=%d expert=%t maxdeg=%d maxcand=%d fullsim=%t\n",
 		opts.MaxIters, int64(opts.Budget), opts.Beta, opts.Seed,
-		opts.IncludeExpert, opts.MaxDegree, opts.MaxCandidatesPerOp, opts.FullSim, loc)
+		opts.IncludeExpert, opts.MaxDegree, opts.MaxCandidatesPerOp, opts.FullSim)
 
 	if opts.Initial != nil {
 		data, err := ExportStrategy(p.Graph, opts.Initial)

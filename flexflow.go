@@ -106,26 +106,6 @@ func SetWorkers(n int) int { return par.SetWorkers(n) }
 // SetWorkers (the number of CPUs if never set).
 func WorkerBound() int { return par.WorkerBound() }
 
-// Localities lists the recognized values of OptimizeOptions.Locality —
-// MCMC's proposal-locality policies — in documentation order:
-// "uniform", "measured".
-func Localities() []string {
-	locs := search.Localities()
-	out := make([]string, len(locs))
-	for i, l := range locs {
-		out[i] = string(l)
-	}
-	return out
-}
-
-// ParseLocality validates and normalizes an OptimizeOptions.Locality
-// value ("" normalizes to "uniform"); unknown names return an error
-// listing the recognized policies.
-func ParseLocality(s string) (string, error) {
-	loc, err := search.ParseLocality(s)
-	return string(loc), err
-}
-
 // NewSingleNode builds a single machine with n GPUs ("P100" or "K80").
 func NewSingleNode(gpus int, model string) *Topology { return device.NewSingleNode(gpus, model) }
 

@@ -3,6 +3,7 @@ package flexflow
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"flexflow/internal/config"
@@ -58,6 +59,34 @@ func fuzzLenet(f *testing.F) (*Graph, *Topology) {
 	return g, NewSingleNode(4, "P100")
 }
 
+// lenetZeroKernel is lenet's export with its first conv's kernel_h
+// set to 0, a window the builders never emit.
+func lenetZeroKernel(tb testing.TB) []byte {
+	tb.Helper()
+	g, err := ModelScaled("lenet", fuzzScale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := ExportGraph(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bad := bytes.Replace(data, []byte(`"kernel_h": 5,`), []byte(`"kernel_h": 0,`), 1)
+	if bytes.Equal(bad, data) {
+		tb.Fatal(`lenet's export has no "kernel_h": 5 to corrupt`)
+	}
+	return bad
+}
+
+// TestImportGraphRejectsZeroKernel pins the window check at import:
+// without it, this graph imported and a search over it ran the
+// simulator past its fixpoint budget into a panic.
+func TestImportGraphRejectsZeroKernel(t *testing.T) {
+	if _, err := ImportGraph(lenetZeroKernel(t)); err == nil || !strings.Contains(err.Error(), "kernel") {
+		t.Fatalf("err = %v, want an error naming the kernel", err)
+	}
+}
+
 func FuzzImportGraph(f *testing.F) {
 	for _, name := range models.Names() {
 		// Their op count does not scale down: megabyte exports stall the
@@ -82,6 +111,7 @@ func FuzzImportGraph(f *testing.F) {
 	} {
 		f.Add([]byte(bad))
 	}
+	f.Add(lenetZeroKernel(f))
 	topo := NewSingleNode(2, "P100")
 	fingerprint := func(g *Graph) (string, error) {
 		return Fingerprint(Problem{Graph: g, Topology: topo}, "mcmc", OptimizeOptions{})

@@ -2,9 +2,13 @@ package config
 
 import (
 	"bytes"
+	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 
 	"flexflow/internal/device"
+	"flexflow/internal/graph"
 	"flexflow/internal/models"
 )
 
@@ -223,6 +227,59 @@ func TestGraphWireRejectsCorruption(t *testing.T) {
 	for name, payload := range cases {
 		if _, err := UnmarshalGraph([]byte(payload)); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// TestGraphWireRejectsBadWindow decodes a small conv/pool graph with
+// one window field corrupted at a time: a kernel or stride below 1,
+// negative padding, a convolution over fewer than one input channel,
+// or an output height/width that the window does not produce. Each
+// must be a decode error naming the op; the builders never emit one,
+// so the untouched graph decodes.
+func TestGraphWireRejectsBadWindow(t *testing.T) {
+	g := graph.New("window")
+	x := g.Input4D("images", 8, 3, 16, 16)
+	c := g.Conv2D("conv", x, 8, 3, 3, 1, 1, 1, 1)
+	g.Pool2D("pool", c, 2, 2, 2, 2, 0, 0)
+	data, err := MarshalGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalGraph(data); err != nil {
+		t.Fatalf("the untouched graph does not decode: %v", err)
+	}
+	const conv, pool = 1, 2
+	for name, c := range map[string]struct {
+		op     int
+		mutate func(*opJSON)
+	}{
+		"conv kernel_h 0":      {conv, func(o *opJSON) { o.KernelH = 0 }},
+		"conv kernel_w -1":     {conv, func(o *opJSON) { o.KernelW = -1 }},
+		"conv stride_h 0":      {conv, func(o *opJSON) { o.StrideH = 0 }},
+		"conv stride_w -1":     {conv, func(o *opJSON) { o.StrideW = -1 }},
+		"conv pad_h -1":        {conv, func(o *opJSON) { o.PadH = -1 }},
+		"conv in_channels 0":   {conv, func(o *opJSON) { o.InChannels = 0 }},
+		"conv in_channels -3":  {conv, func(o *opJSON) { o.InChannels = -3 }},
+		"conv height too tall": {conv, func(o *opJSON) { o.Out[2].Size++ }},
+		"conv kernel_h 5":      {conv, func(o *opJSON) { o.KernelH = 5 }},
+		"pool kernel_w 0":      {pool, func(o *opJSON) { o.KernelW = 0 }},
+		"pool stride_h -1":     {pool, func(o *opJSON) { o.StrideH = -1 }},
+		"pool pad_w -1":        {pool, func(o *opJSON) { o.PadW = -1 }},
+		"pool width too wide":  {pool, func(o *opJSON) { o.Out[3].Size++ }},
+	} {
+		var gj graphJSON
+		if err := json.Unmarshal(data, &gj); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(&gj.Ops[c.op])
+		bad, err := json.Marshal(gj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = UnmarshalGraph(bad)
+		if opName := gj.Ops[c.op].Name; err == nil || !strings.Contains(err.Error(), strconv.Quote(opName)) {
+			t.Errorf("%s: err = %v, want an error naming op %q", name, err, opName)
 		}
 	}
 }

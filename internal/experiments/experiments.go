@@ -111,9 +111,6 @@ type Scale struct {
 	// order never depends on scheduling, and the tables are identical
 	// for every Workers value and every pool size (the searches are
 	// worker-count deterministic, budgeted or not).
-	//
-	// Deprecated: size the shared pool once with par.SetWorkers instead
-	// of capping the harness.
 	Workers int
 }
 

@@ -298,9 +298,14 @@ func (g *Graph) Flatten(name string, in *Op) *Op {
 	return g.add(op)
 }
 
-// convOut computes the output extent of a convolution/pooling dimension.
+// convExtent is the output extent of a convolution/pooling window of
+// the given kernel, stride and padding over an input extent.
+func convExtent(in, kernel, stride, pad int) int { return (in+2*pad-kernel)/stride + 1 }
+
+// convOut is convExtent for the builders, which panic on an empty
+// output.
 func convOut(in, kernel, stride, pad int) int {
-	out := (in+2*pad-kernel)/stride + 1
+	out := convExtent(in, kernel, stride, pad)
 	if out <= 0 {
 		panic(fmt.Sprintf("graph: convolution output extent %d (in=%d kernel=%d stride=%d pad=%d)", out, in, kernel, stride, pad))
 	}

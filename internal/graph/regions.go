@@ -83,6 +83,33 @@ func checkWiring(op *Op) error {
 			return fmt.Errorf("op %q (%v) input %d has rank %d, needs rank %d", op.Name, op.Kind, i, p.Out.Rank(), in[i])
 		}
 	}
+	if op.Kind == Conv2D || op.Kind == Pool2D {
+		return checkWindow(op)
+	}
+	return nil
+}
+
+// checkWindow rejects a Conv2D/Pool2D op whose window the builders
+// could not have emitted: a kernel or stride below 1, negative
+// padding, a convolution over fewer than one input channel, or an
+// output height/width other than the one convExtent derives from the
+// input. A search over such an op prices windows that do not exist; a
+// zero kernel, for one, sends the simulator past its fixpoint budget.
+func checkWindow(op *Op) error {
+	if op.KernelH < 1 || op.KernelW < 1 || op.StrideH < 1 || op.StrideW < 1 || op.PadH < 0 || op.PadW < 0 {
+		return fmt.Errorf("op %q (%v) has kernel %dx%d, stride %dx%d, pad %dx%d: kernel and stride must be >= 1 and pad >= 0",
+			op.Name, op.Kind, op.KernelH, op.KernelW, op.StrideH, op.StrideW, op.PadH, op.PadW)
+	}
+	if op.Kind == Conv2D && op.InChannels < 1 {
+		return fmt.Errorf("op %q (%v) has %d input channels, needs >= 1", op.Name, op.Kind, op.InChannels)
+	}
+	in := op.Inputs[0].Out
+	h := convExtent(in.Size(2), op.KernelH, op.StrideH, op.PadH)
+	w := convExtent(in.Size(3), op.KernelW, op.StrideW, op.PadW)
+	if op.Out.Size(2) != h || op.Out.Size(3) != w {
+		return fmt.Errorf("op %q (%v) has a %dx%d output, but its window over the %dx%d input gives %dx%d",
+			op.Name, op.Kind, op.Out.Size(2), op.Out.Size(3), in.Size(2), in.Size(3), h, w)
+	}
 	return nil
 }
 

@@ -147,9 +147,9 @@ func For(n int, fn func(i int)) {
 // with no synchronization.
 //
 // The limit only ever narrows a loop's share of the shared pool; it
-// cannot raise parallelism above the process-wide bound. It exists for
-// the deprecated per-level Workers knobs — new call sites should use
-// For and let SetWorkers govern.
+// cannot raise parallelism above the process-wide bound. It serves the
+// per-call Workers caps (a search's or a request's share of the pool);
+// a call site with no such cap uses For.
 func ForEach(limit, n int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -15,8 +15,7 @@ import (
 
 // TestMCMCWalkGolden pins the absolute outcome of the MCMC walk — not
 // just its self-consistency across pool sizes — for every walk
-// variant: {uniform, measured} × {delta, FullSim} plus a uniform
-// MemoryCheck run, each on tinyMLP over 4 P100s from the paper's three
+// variant: delta and FullSim plus a MemoryCheck run, each on tinyMLP over 4 P100s from the paper's three
 // initials at a fixed seed. tinyMLP fits those devices whatever the
 // strategy, so a last MemoryCheck run on fatModel pins the walk through
 // rejected infeasible drafts too. Any change to the RNG draws, the
@@ -38,24 +37,20 @@ func TestMCMCWalkGolden(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		locality Locality
 		fullSim  bool
 		memCheck bool
 		fat      bool
 		want     want
 	}{
-		{"uniform/delta", LocalityUniform, false, false, false, want{939835, 446, 135, sim.Stats{FullSims: 3, DeltaSims: 757, Pops: 59405, SuffixTasks: 59190}, 19, "736b613030493ecc"}},
-		{"measured/delta", LocalityMeasured, false, false, false, want{939835, 438, 351, sim.Stats{FullSims: 3, DeltaSims: 525, Pops: 33257, SuffixTasks: 33042}, 23, "e7380186819e277f"}},
-		{"uniform/fullsim", LocalityUniform, true, false, false, want{939835, 446, 133, sim.Stats{FullSims: 449, Pops: 37721}, 23, "736b613030493ecc"}},
-		{"measured/fullsim", LocalityMeasured, true, false, false, want{939835, 446, 133, sim.Stats{FullSims: 449, Pops: 37721}, 23, "736b613030493ecc"}},
-		{"uniform/delta/memcheck", LocalityUniform, false, true, false, want{939835, 446, 135, sim.Stats{FullSims: 3, DeltaSims: 757, Pops: 59405, SuffixTasks: 59190}, 19, "736b613030493ecc"}},
-		{"fat/uniform/delta/memcheck", LocalityUniform, false, true, true, want{2614946, 7, 7, sim.Stats{FullSims: 1, DeltaSims: 7, Pops: 120, SuffixTasks: 104}, 1, "ab11995419c0398d"}},
+		{"uniform/delta", false, false, false, want{939835, 446, 135, sim.Stats{FullSims: 3, DeltaSims: 757, Pops: 59405, SuffixTasks: 59190}, 19, "736b613030493ecc"}},
+		{"uniform/fullsim", true, false, false, want{939835, 446, 133, sim.Stats{FullSims: 449, Pops: 37721}, 23, "736b613030493ecc"}},
+		{"uniform/delta/memcheck", false, true, false, want{939835, 446, 135, sim.Stats{FullSims: 3, DeltaSims: 757, Pops: 59405, SuffixTasks: 59190}, 19, "736b613030493ecc"}},
+		{"fat/uniform/delta/memcheck", false, true, true, want{2614946, 7, 7, sim.Stats{FullSims: 1, DeltaSims: 7, Pops: 120, SuffixTasks: 104}, 1, "ab11995419c0398d"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.MaxIters = 150
 			opts.Seed = 5
-			opts.Locality = tc.locality
 			opts.FullSim = tc.fullSim
 			opts.MemoryCheck = tc.memCheck
 			g, topo, initials := g, topo, initials

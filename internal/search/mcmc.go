@@ -17,9 +17,9 @@
 // once with par.SetWorkers. Nested fan-out (a Neighborhood sweep
 // inside a Polish round inside an experiments cell) composes under
 // that one bound via caller-runs scheduling instead of multiplying
-// pools; the per-search Workers fields remain as deprecated caps on a
-// search's share of the pool. The full repo-wide contract is written
-// down in docs/CONCURRENCY.md.
+// pools; a per-search Workers field caps one search's share of the
+// pool. The full repo-wide contract is written down in
+// docs/CONCURRENCY.md.
 //
 // MCMC runs its independent chains (one per initial strategy, Section
 // 8.1) across that pool. The structure is compiled once per distinct
@@ -143,25 +143,10 @@ type Options struct {
 	// search start, so a fixed cost model keeps budgeted runs
 	// bit-identical across Workers values and pool sizes.
 	Cost CostModel
-	// Locality selects the proposal-locality policy: how a chain picks
-	// the op each proposal mutates ("" or LocalityUniform = the classic
-	// uniform walk, bit-identical to a Locality-less search, pinned by
-	// TestMCMCLocalityContract; LocalityMeasured = steer toward ops whose
-	// proposals have measured cheap to price). The measured policy uses
-	// only the chain's private RNG stream and per-chain state, so it is
-	// its own deterministic walk: for a fixed (Seed, Locality,
-	// CostModel) the Result is bit-identical across Workers values and
-	// pool sizes. Ignored in FullSim mode, which rebuilds from scratch
-	// per proposal and has no delta cost to measure. See
-	// docs/ARCHITECTURE.md, "Proposal locality".
-	Locality Locality
 	// Workers caps this search's share of the process-wide worker pool
 	// (0 = the pool's full bound; see par.SetWorkers). Results are
 	// identical for every value and every pool size; see the package
 	// comment for the determinism contract.
-	//
-	// Deprecated: size the shared pool once with par.SetWorkers instead
-	// of capping individual searches.
 	Workers int
 	// OnEvent, when non-nil, receives streaming progress events: one
 	// per chain-best improvement plus a final event per chain. It is
@@ -223,14 +208,6 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 	if opts.MaxIters == 0 {
 		opts.MaxIters = DefaultOptions().MaxIters
 	}
-	// Normalize the locality policy once, before the fan-out; an unknown
-	// value is a programmer error (API boundaries validate with
-	// ParseLocality and return the error to the caller).
-	loc, err := ParseLocality(string(opts.Locality))
-	if err != nil {
-		panic(err.Error())
-	}
-	opts.Locality = loc
 	// Resolve the cost model once, before the fan-out: every chain
 	// prices proposals identically even if SetDefaultCostModel is
 	// called while the search runs.
@@ -365,15 +342,6 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 	emit(opts.OnEvent, ProgressEvent{Algorithm: "mcmc", Chain: chain, Iter: 0, BestCost: cost})
 	ops := g.ComputeOps()
 	allowed := opts.Space.allowed()
-	// Measured-locality state: nil for the uniform policy (the classic
-	// Intn path, untouched) and in FullSim mode (no delta cost to
-	// measure — proposals rebuild from scratch). The picker is per-chain
-	// and consumes only this chain's RNG, preserving the determinism
-	// contract for every pool size.
-	var picker *localityPicker
-	if !opts.FullSim && opts.Locality == LocalityMeasured {
-		picker = newLocalityPicker(ops, st)
-	}
 	lastImprove := time.Duration(0) // virtual time of the last chain-best improvement
 
 	// Incremental memory accounting: running per-device totals plus
@@ -440,16 +408,9 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 			break
 		}
 		draws = it
-		// The uniform policy keeps the classic draw verbatim — one Intn
-		// per proposal; the measured policy draws from its weighted
-		// sampler instead (its walk is its own deterministic sequence).
-		var pos int
-		if picker == nil {
-			pos = rng.Intn(len(ops))
-		} else {
-			pos = picker.pick(rng)
-		}
-		op := ops[pos]
+		// Section 6.2's proposal: an op drawn uniformly at random, given
+		// a random config.
+		op := ops[rng.Intn(len(ops))]
 		// Configs are immutable once built (Strategy.Set swaps pointers,
 		// never writes in place), so oldCfg stays valid to restore.
 		oldCfg := cur.Config(op.ID)
@@ -479,13 +440,7 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 			st.Stats.Pops += fullState.Stats.Pops
 			cur.Set(op.ID, oldCfg)
 		} else {
-			pre := st.Stats.SuffixTasks
 			newCost = st.ApplyDelta(tg.ReplaceConfig(op.ID, newCfg))
-			// Measured locality learns the proposal's own evaluated-suffix
-			// size (a delta that fell back to a full simulation adds 0).
-			if picker != nil {
-				picker.observe(pos, float64(st.Stats.SuffixTasks-pre))
-			}
 		}
 
 		if !accept(cost, newCost, opts.Beta, rng) {

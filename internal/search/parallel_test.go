@@ -149,24 +149,27 @@ func TestMCMCVirtualBudgetDeterministic(t *testing.T) {
 		}
 	}
 
-	// The measured locality policy steers which ops a budgeted walk
-	// proposes, not how the virtual clock ticks: it has its own
-	// deterministic stopping point and replays bit-identically across
-	// invocations and Workers values, checked against its own Workers=1
-	// reference.
+	// The FullSim walk has its own deterministic stopping point: the
+	// budget charges it the full-mode price per proposal, so it binds
+	// at another proposal count than the delta walk's, and it too
+	// replays bit-identically across invocations and Workers values,
+	// checked against its own Workers=1 reference.
 	opts.Cost = nil
-	opts.Locality = LocalityMeasured
+	opts.FullSim = true
 	opts.Workers = 1
-	locRef := MCMC(context.Background(), g, topo, est, initials, opts)
-	if locRef.Iters == 0 || locRef.Iters >= opts.MaxIters {
-		t.Fatalf("locality=measured: budget did not bind: %d proposals", locRef.Iters)
+	fullRef := MCMC(context.Background(), g, topo, est, initials, opts)
+	if fullRef.Iters == 0 || fullRef.Iters >= opts.MaxIters {
+		t.Fatalf("fullsim: budget did not bind: %d proposals", fullRef.Iters)
+	}
+	if fullRef.Iters == ref.Iters {
+		t.Fatalf("fullsim: budget bound at the delta walk's %d proposals; the mode did not change the pricing", ref.Iters)
 	}
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		opts.Workers = workers
 		pl := MCMC(context.Background(), g, topo, est, initials, opts)
-		if !same(locRef, pl) {
-			t.Fatalf("locality=measured workers=%d budgeted run diverged: %d vs %d iters, %v vs %v",
-				workers, pl.Iters, locRef.Iters, pl.BestCost, locRef.BestCost)
+		if !same(fullRef, pl) {
+			t.Fatalf("fullsim workers=%d budgeted run diverged: %d vs %d iters, %v vs %v",
+				workers, pl.Iters, fullRef.Iters, pl.BestCost, fullRef.BestCost)
 		}
 	}
 }

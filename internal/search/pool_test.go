@@ -29,13 +29,12 @@ func TestMain(m *testing.M) {
 // Workers differentials: resizing the process-wide pool itself (not a
 // per-search cap) between 1, 2 and NumCPU must leave the MCMC result —
 // strategy, cost, proposal counts, stats, trace — bit-identical. The
-// contract holds per walk variant — each Locality policy is its own
-// deterministic walk — so the differential sweeps every policy crossed
-// with the per-search Workers cap — the reference is always (pool=1,
-// Workers=1), the strictest serialization. It does not call
-// t.Parallel: it owns the global pool knob while it runs (non-parallel
-// tests execute alone), and restores it before the parallel phase
-// starts.
+// contract holds per walk (delta and FullSim), so the differential
+// sweeps both, crossed with the per-search Workers cap; the reference
+// is always (pool=1, Workers=1), the strictest serialization. It does
+// not call t.Parallel: it owns the global pool knob while it runs
+// (non-parallel tests execute alone), and restores it before the
+// parallel phase starts.
 func TestMCMCPoolSizeDifferential(t *testing.T) {
 	prev := par.WorkerBound()
 	defer par.SetWorkers(prev)
@@ -48,13 +47,13 @@ func TestMCMCPoolSizeDifferential(t *testing.T) {
 	opts.Seed = 11
 	initials := Initials(g, topo, 11, true)
 
-	for _, loc := range Localities() {
-		opts.Locality = loc
+	for _, fullSim := range []bool{false, true} {
+		opts.FullSim = fullSim
 		opts.Workers = 1
 		par.SetWorkers(1)
 		ref := MCMC(context.Background(), g, topo, est, initials, opts)
 		if ref.Iters == 0 || ref.Best == nil {
-			t.Fatalf("locality=%s: degenerate reference result: %+v", loc, ref)
+			t.Fatalf("fullsim=%t: degenerate reference result: %+v", fullSim, ref)
 		}
 		type cell struct{ pool, workers int }
 		tried := map[cell]bool{{1, 1}: true}
@@ -70,7 +69,7 @@ func TestMCMCPoolSizeDifferential(t *testing.T) {
 			opts.Workers = c.workers
 			got := MCMC(context.Background(), g, topo, est, initials, opts)
 			label := func() string {
-				return fmt.Sprintf("locality=%s pool=%d workers=%d", loc, c.pool, c.workers)
+				return fmt.Sprintf("fullsim=%t pool=%d workers=%d", fullSim, c.pool, c.workers)
 			}
 			if got.BestCost != ref.BestCost || !got.Best.Equal(ref.Best) {
 				t.Errorf("%s: Best/BestCost %v differ from reference %v", label(), got.BestCost, ref.BestCost)

@@ -59,7 +59,6 @@ type requestOptions struct {
 	MaxDegree          int     `json:"max_degree,omitempty"`
 	MaxCandidatesPerOp int     `json:"max_candidates_per_op,omitempty"`
 	FullSim            bool    `json:"full_sim,omitempty"`
-	Locality           string  `json:"locality,omitempty"`
 	TimeoutMS          int64   `json:"timeout_ms,omitempty"`
 }
 
@@ -175,17 +174,6 @@ func (s *Server) decodeRequest(body []byte) (*request, error) {
 		MaxDegree:          o.MaxDegree,
 		MaxCandidatesPerOp: o.MaxCandidatesPerOp,
 		FullSim:            o.FullSim,
-		Locality:           o.Locality,
-	}
-	// Locality is result-affecting (it participates in the fingerprint
-	// and so in the cache key); resolve the server default for unset
-	// requests and reject unknown policies here as a 400 rather than
-	// failing the search after admission.
-	if opts.Locality == "" {
-		opts.Locality = s.opts.DefaultLocality
-	}
-	if _, err := flexflow.ParseLocality(opts.Locality); err != nil {
-		return nil, err
 	}
 	timeout := s.opts.DefaultTimeout
 	if o.TimeoutMS > 0 {

@@ -98,7 +98,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		optBody("blocktest", 1, ""),
 		`{"model":"lenet","gpus":2,` + opts + `}`,
 		`{"model":"lenet","scale":16,"cluster":"k80","nodes":2,` + opts + `}`,
-		`{"model":"lenet","scale":16,"gpus":2,"options":{"budget_ms":2,"seed":31,"locality":"measured"}}`,
+		`{"model":"lenet","scale":16,"gpus":2,"options":{"budget_ms":2,"seed":31}}`,
 		fmt.Sprintf(`{"graph":%s,"gpus":2,%s}`, gdata, opts),
 		fmt.Sprintf(`{"model":"lenet","scale":16,"topology":%s,%s}`, tdata, opts),
 		fmt.Sprintf(`{"model":"lenet","scale":16,"gpus":2,"initial":%s,%s}`, sdata, opts),

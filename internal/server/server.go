@@ -46,13 +46,6 @@ type Options struct {
 	// recently used entries are evicted beyond it (0 means 256,
 	// negative disables caching).
 	CacheSize int
-	// DefaultLocality is the MCMC proposal-locality policy applied to
-	// requests whose options leave locality unset ("" keeps the library
-	// default, uniform). The resolved policy participates in the
-	// request fingerprint, so requests served under different defaults
-	// never alias in the strategy cache. New validates it with
-	// flexflow.ParseLocality.
-	DefaultLocality string
 }
 
 // Server is the flexflowd HTTP service. Create one with New, mount it
@@ -94,9 +87,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxTimeout <= 0 {
 		opts.MaxTimeout = 10 * time.Minute
-	}
-	if _, err := flexflow.ParseLocality(opts.DefaultLocality); err != nil {
-		panic("server: Options.DefaultLocality: " + err.Error())
 	}
 	size := opts.CacheSize
 	if size == 0 {

@@ -592,6 +592,56 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestBadWindowRejectedBeforeAdmission sends an inline lenet whose
+// first conv has kernel_h 0 while the single inflight slot is held: the
+// window check runs at decode, so the answer is a 400 rather than a
+// 429 (or a search that sits on the slot until it fails), no job
+// starts, and the body stays out of the request index.
+func TestBadWindowRejectedBeforeAdmission(t *testing.T) {
+	g, err := flexflow.ModelScaled("lenet", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gdata, err := flexflow.ExportGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(gdata, []byte(`"kernel_h": 5,`), []byte(`"kernel_h": 0,`), 1)
+	if bytes.Equal(bad, gdata) {
+		t.Fatal(`lenet's export has no "kernel_h": 5 to corrupt`)
+	}
+	body := fmt.Sprintf(`{"graph":%s,"gpus":2,"options":{"max_iters":30}}`, bad)
+
+	blockRelease = make(chan struct{})
+	srv := New(Options{MaxInflight: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	first := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts, optBody("blocktest", 1, ""))
+		first <- resp.StatusCode
+	}()
+	waitMetric(t, ts, "flexflowd_jobs_inflight", 1)
+
+	status, msg := postRaw(t, ts, body)
+	if status != http.StatusBadRequest || !strings.Contains(string(msg), "kernel") {
+		t.Errorf("bad window: status %d (%s), want 400 naming the kernel", status, msg)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_rejected_total"); n != 0 {
+		t.Errorf("jobs_rejected_total = %g: the bad body reached admission", n)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_total"); n != 1 {
+		t.Errorf("jobs_total = %g, want only the blocker's job", n)
+	}
+	close(blockRelease)
+	if status := <-first; status != http.StatusOK {
+		t.Fatalf("blocked request finished with %d", status)
+	}
+	if n := srv.index.len(); n != 1 {
+		t.Fatalf("request index holds %d entries, want only the blocker's", n)
+	}
+}
+
 // TestCoalesce sends the same uncached request twice concurrently: one
 // search runs, both callers get its result, the joiner marked
 // coalesced.
@@ -776,21 +826,29 @@ var badRequestBodies = map[string]string{
 	"two objects":       `{"model":"lenet","scale":16,"gpus":2}{"model":"lenet","scale":16,"gpus":2}`,
 	"too many gpus":     `{"model":"lenet","scale":16,"gpus":257}`,
 	"too many nodes":    `{"model":"lenet","scale":16,"cluster":"p100","nodes":65}`,
+	"measured":          `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"measured"}}`,
+	"uniform":           `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"uniform"}}`,
 	"late-biased":       `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"late-biased"}}`,
 	"stratified":        `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"stratified"}}`,
 }
 
-// TestDeletedLocalityRejected pins the answer to a locality policy the
-// optimizer no longer has: a 400 whose message names the policies it
-// does have.
+// TestDeletedLocalityRejected pins the answer to the deleted
+// options.locality field: MCMC has one proposal distribution, so a
+// request naming any policy — one that once existed or the uniform
+// draw it always makes — is a 400 for the unknown field, and no such
+// body enters the request index.
 func TestDeletedLocalityRejected(t *testing.T) {
-	ts := httptest.NewServer(New(Options{}))
+	srv := New(Options{})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	for _, name := range []string{"late-biased", "stratified"} {
+	for _, name := range []string{"measured", "uniform", "late-biased", "stratified"} {
 		status, msg := postRaw(t, ts, badRequestBodies[name])
-		if status != http.StatusBadRequest || !strings.Contains(string(msg), "uniform, measured") {
-			t.Errorf("locality %s: status %d (%s), want 400 listing uniform, measured", name, status, msg)
+		if status != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"locality\"`) {
+			t.Errorf("locality %s: status %d (%s), want 400 naming the unknown field", name, status, msg)
 		}
+	}
+	if n := srv.index.len(); n != 0 {
+		t.Fatalf("locality bodies entered the request index: %d entries", n)
 	}
 }
 

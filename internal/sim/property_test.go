@@ -240,16 +240,69 @@ func TestScalePropertySynth2k(t *testing.T) {
 	}
 }
 
+// suffixHints estimates, per op ID and as a fraction of the current
+// makespan, how much of the timeline a config change at that op would
+// force ApplyDelta to re-evaluate: 1 - T0/makespan, where T0 is the
+// earliest min(ready, start) over the live tasks ReplaceConfig would
+// rebuild. Those are the op's own compute, update and sync tasks
+// (Task.Op) plus the comm tasks of its adjacent edges: an edge's comm
+// task is owned by the consumer and sits between compute tasks of both
+// ends, so it counts for the op of every neighbour. ready usually binds:
+// an op fed by an early edge truncates early no matter how late its
+// tasks run. An op with no live tasks, or any op of an unsimulated
+// state, reports 1.
+func suffixHints(st *State) []float64 {
+	const inf = time.Duration(1<<63 - 1)
+	t0 := make([]time.Duration, st.TG.G.NumOps())
+	for i := range t0 {
+		t0[i] = inf
+	}
+	for _, t := range st.TG.Tasks {
+		if !st.TG.Live(t) {
+			continue
+		}
+		ready, start, _ := st.Times(t)
+		if start < ready {
+			ready = start
+		}
+		lower := func(op *graph.Op) {
+			if op != nil && ready < t0[op.ID] {
+				t0[op.ID] = ready
+			}
+		}
+		lower(t.Op)
+		if t.Kind == taskgraph.Comm {
+			for _, n := range st.TG.Preds(t) {
+				lower(n.Op)
+			}
+			for _, n := range st.TG.Succs(t) {
+				lower(n.Op)
+			}
+		}
+	}
+	hints := make([]float64, len(t0))
+	for id, t := range t0 {
+		switch {
+		case st.Makespan <= 0 || t == inf:
+			hints[id] = 1
+		case t >= st.Makespan:
+			hints[id] = 0
+		default:
+			hints[id] = 1 - float64(t)/float64(st.Makespan)
+		}
+	}
+	return hints
+}
+
 // scaleLocalityPropertyRun is the locality-weighted sibling of
 // scalePropertyRun: instead of a uniform op draw it weights each op by
-// its timeline position — weight (1-SuffixHint)² floored at a positive
-// minimum, drawn through a local cumulative-sum sampler and refreshed
-// after every mutation. That makes the walk cluster on late-starting
-// ops, which is exactly the op sequence a locality-aware MCMC feeds
-// ApplyDelta: long runs of small-suffix truncations with occasional
-// deep rebuilds on revert. The delta/full bit-for-bit contract —
-// makespan and every live task's (ready, start, end) after every
-// ApplyDelta — must hold on that distribution too, not just under
+// its timeline position — weight (1-hint)² floored at a positive
+// minimum (suffixHints), drawn through a local cumulative-sum sampler
+// and refreshed after every mutation. That makes the walk cluster on
+// late-starting ops: long runs of small-suffix truncations with
+// occasional deep rebuilds on revert. The delta/full bit-for-bit
+// contract — makespan and every live task's (ready, start, end) after
+// every ApplyDelta — must hold on that distribution too, not just under
 // uniform sampling.
 func scaleLocalityPropertyRun(t *testing.T, model string, seed int64, steps int) {
 	t.Helper()
@@ -265,12 +318,13 @@ func scaleLocalityPropertyRun(t *testing.T, model string, seed int64, steps int)
 	st.Simulate()
 	ops := g.ComputeOps()
 
-	// Position-weighted draw over SuffixHint.
+	// Position-weighted draw over suffixHints.
 	cum := make([]float64, len(ops))
 	draw := func() *graph.Op {
+		hints := suffixHints(st)
 		total := 0.0
 		for i, op := range ops {
-			h := st.SuffixHint(op.ID)
+			h := hints[op.ID]
 			w := (1 - h) * (1 - h)
 			if w < 0.05 {
 				w = 0.05

@@ -21,12 +21,12 @@ func TestScalePropertySynth50k(t *testing.T) {
 }
 
 // TestScalePropertyLocalitySynth50k is the locality-weighted walk at
-// the 50k-task scale: SuffixHint-weighted op draws concentrate the
-// mutations where a locality-aware MCMC concentrates them — the late
-// tail of the timeline, where the paged copy-on-write truncation does
-// the least work — and the delta/full differential must stay
-// bit-for-bit there too. Runs in the same dedicated CI step as the
-// uniform 50k walk (`-run TestScaleProperty -tags scale`).
+// the 50k-task scale: position-weighted op draws (suffixHints)
+// concentrate the mutations on the late tail of the timeline, where the
+// paged copy-on-write truncation does the least work, and the
+// delta/full differential must stay bit-for-bit there too. Runs in the
+// same dedicated CI step as the uniform 50k walk (`-run
+// TestScaleProperty -tags scale`).
 func TestScalePropertyLocalitySynth50k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k-task property walk is not a -short test")

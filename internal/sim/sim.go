@@ -164,12 +164,10 @@ type Stats struct {
 	Pops int64
 	// SuffixTasks accumulates the size of every ApplyDelta affected set:
 	// the truncated-suffix tasks plus the added tasks each delta
-	// re-evaluated. It is the measured per-proposal suffix cost the
-	// locality-aware search policies steer on (search.LocalityMeasured),
-	// and — divided by DeltaSims — the honest "how much of the graph does
-	// a proposal really touch" number PR 9's profiling asked for. Full
-	// simulations (including fixpoint-budget fallbacks) do not count
-	// here; they are visible in FullSims/Fallbacks.
+	// re-evaluated; divided by DeltaSims it says how much of the graph a
+	// proposal really touches. Full simulations (including
+	// fixpoint-budget fallbacks) do not count here; they are visible in
+	// FullSims/Fallbacks.
 	SuffixTasks int64
 	// Fallbacks counts delta simulations that exceeded the fixpoint
 	// budget and were redone from scratch (should stay at/near zero).
@@ -330,50 +328,6 @@ func (s *State) Clone() *State { return s.CloneFor(s.TG) }
 func (s *State) Times(t *taskgraph.Task) (ready, start, end time.Duration) {
 	st := s.rd(int32(t.Slot))
 	return st.ready, st.start, st.end
-}
-
-// SuffixHint estimates, as a fraction of the current makespan, how much
-// of the timeline a config change at op opID would force ApplyDelta to
-// re-evaluate: 1 - T0/makespan, where T0 is the earliest min(ready,
-// start) among the op's own and adjacent-edge tasks
-// (TaskGraph.VisitOpTasks — the exact set ReplaceConfig rebuilds, whose
-// earliest ready/start bounds the delta's truncation point from below,
-// the same min ApplyDelta itself takes). 1 means a change perturbs the
-// whole timeline (T0 = 0, the uniform-sampling failure mode PR 9
-// measured); values near 0 mean the op's tasks all sit at the very end.
-// Defined on a simulated timeline; an op with no live tasks, or a state
-// with an empty timeline, reports 1 (no information — assume the worst).
-func (s *State) SuffixHint(opID int) float64 {
-	if s.Makespan <= 0 {
-		return 1
-	}
-	const inf = time.Duration(1<<63 - 1)
-	t0 := inf
-	s.TG.VisitOpTasks(opID, func(t *taskgraph.Task) {
-		if !s.TG.Live(t) {
-			return
-		}
-		// Mirror ApplyDelta's truncation point: a rebuilt task perturbs
-		// the schedule from min(ready, start), and ready — when the
-		// task's inputs are done, not when a contended resource got
-		// around to running it — is usually the binding bound. An op
-		// fed by an early edge truncates early no matter how late its
-		// tasks run.
-		st := s.rd(int32(t.Slot))
-		if st.ready < t0 {
-			t0 = st.ready
-		}
-		if st.start < t0 {
-			t0 = st.start
-		}
-	})
-	if t0 == inf {
-		return 1
-	}
-	if t0 >= s.Makespan {
-		return 0
-	}
-	return 1 - float64(t0)/float64(s.Makespan)
 }
 
 // ensure rebinds the flat adjacency view and grows the timing pages to

@@ -419,38 +419,3 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("no pops recorded")
 	}
 }
-
-// TestSuffixHintEdges pins SuffixHint's contract at its boundaries: a
-// state that never simulated has no timeline and must report 1
-// (assume-the-worst) for every op, and on a simulated timeline every
-// op's hint lies in (0, 1] with at least one op strictly inside — 0 is
-// reserved for ops whose tasks all sit at the very makespan, which a
-// live schedule's contention never quite produces.
-func TestSuffixHintEdges(t *testing.T) {
-	g := smallCNN()
-	topo := device.NewSingleNode(2, "P100")
-	s := config.DataParallel(g, topo)
-	tg := taskgraph.Build(g, topo, s, perfmodel.NewAnalyticModel(), taskgraph.Options{})
-	st := NewState(tg)
-
-	for _, op := range g.Ops {
-		if h := st.SuffixHint(op.ID); h != 1 {
-			t.Fatalf("op %d: SuffixHint on an unsimulated state = %v, want 1", op.ID, h)
-		}
-	}
-
-	st.Simulate()
-	minHint := 1.0
-	for _, op := range g.Ops {
-		h := st.SuffixHint(op.ID)
-		if h <= 0 || h > 1 {
-			t.Fatalf("op %d: SuffixHint = %v, want in (0, 1]", op.ID, h)
-		}
-		if h < minHint {
-			minHint = h
-		}
-	}
-	if minHint >= 1 {
-		t.Fatalf("every op hints 1 on a simulated timeline; the hint carries no position signal")
-	}
-}

@@ -348,36 +348,6 @@ func (tg *TaskGraph) Succs(t *Task) []*Task {
 	return out
 }
 
-// VisitOpTasks calls visit for every task owned by op opID or by an
-// edge adjacent to it: forward/backward compute, the op's update/sync
-// extras, and the communication tasks of each incoming and outgoing
-// edge. This is exactly the set ReplaceConfig(opID, ...) would tear
-// down and rebuild — the tasks whose timing a config change at the op
-// perturbs directly — so a caller can locate an op in the current
-// timeline (e.g. its earliest task start) without a full-graph scan.
-// Tasks are visited in a fixed order (fwd, bwd, extras, then edges in
-// input/consumer order) that depends only on the graph and the current
-// strategy, never on map iteration.
-func (tg *TaskGraph) VisitOpTasks(opID int, visit func(*Task)) {
-	each := func(ts []*Task) {
-		for _, t := range ts {
-			visit(t)
-		}
-	}
-	each(tg.fwd[opID])
-	each(tg.bwd[opID])
-	each(tg.extras[opID])
-	op := tg.G.Op(opID)
-	for _, in := range op.Inputs {
-		if in.Kind != graph.Input {
-			each(tg.edgeComm[[2]int{in.ID, opID}])
-		}
-	}
-	for _, consumer := range tg.G.Consumers(op) {
-		each(tg.edgeComm[[2]int{opID, consumer.ID}])
-	}
-}
-
 // Adj returns the slot-indexed flat view of the live task structure.
 // The view is read-only for callers and shares the graph's ownership
 // rules: safe for concurrent readers on a frozen Plan base, single-

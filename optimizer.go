@@ -52,10 +52,8 @@ type OptimizeOptions struct {
 	// worker pool — MCMC chains, exhaustive DFS subtrees, REINFORCE
 	// episode rollouts, Neighborhood sweeps (0 = the pool's full
 	// bound). Results are identical for every value and every pool
-	// size.
-	//
-	// Deprecated: size the shared pool once with SetWorkers instead of
-	// capping individual calls; see docs/CONCURRENCY.md.
+	// size. flexflowd sets it per request from options.workers; see
+	// docs/CONCURRENCY.md.
 	Workers int
 	// Initial seeds the search with an existing strategy: MCMC runs a
 	// single chain from it, polish descends from it. When nil, MCMC
@@ -73,14 +71,6 @@ type OptimizeOptions struct {
 	// FullSim makes every MCMC proposal run the full simulation
 	// algorithm instead of the delta algorithm (the Table 4 ablation).
 	FullSim bool
-	// Locality selects MCMC's proposal-locality policy: "" or "uniform"
-	// (the classic walk, bit-identical to earlier releases) or
-	// "measured", which steers proposals toward ops whose deltas have
-	// measured cheap to price (see docs/ARCHITECTURE.md, "Proposal
-	// locality"). The policy changes the resulting strategy, so it
-	// participates in Fingerprint. Unknown names fail Optimize with an
-	// error. Ignored in FullSim mode and by the non-MCMC algorithms.
-	Locality string
 	// Cost explicitly prices proposals for the virtual-time Budget,
 	// overriding the installed cost profile (see SetCostProfile). Nil
 	// uses the profile installed process-wide, falling back to the
@@ -246,11 +236,6 @@ func (mcmcOptimizer) Optimize(ctx context.Context, p Problem, o OptimizeOptions)
 	}
 	opts.Workers = o.Workers
 	opts.FullSim = o.FullSim
-	loc, err := search.ParseLocality(o.Locality)
-	if err != nil {
-		return Result{Algorithm: "mcmc"}, err
-	}
-	opts.Locality = loc
 	opts.Cost = o.Cost
 	opts.OnEvent = o.OnEvent
 	var initials []*Strategy

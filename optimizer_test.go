@@ -122,22 +122,6 @@ func TestOptimizeRejectsInvalidInitial(t *testing.T) {
 	}
 }
 
-// TestOptimizeRejectsDeletedLocality pins the error for a locality
-// policy the optimizer no longer has: Optimize fails before searching,
-// with the message naming the policies it does have.
-func TestOptimizeRejectsDeletedLocality(t *testing.T) {
-	opt, err := GetOptimizer("mcmc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"late-biased", "stratified"} {
-		res, err := opt.Optimize(context.Background(), registryProblem(), OptimizeOptions{MaxIters: 20, Locality: name})
-		if err == nil || !strings.Contains(err.Error(), "uniform, measured") || res.Best != nil {
-			t.Errorf("locality %q: err = %v, best %v; want an error listing uniform, measured and no strategy", name, err, res.Best)
-		}
-	}
-}
-
 // TestOptimizerProgressStreaming exercises the OnEvent path through the
 // facade: events must arrive, carry the right algorithm, and end with
 // the returned best cost on a Final event.
