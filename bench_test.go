@@ -227,10 +227,10 @@ func benchNeighborhood(b *testing.B, workers int) {
 	enum := config.EnumOptions{MaxDegree: 4}
 	// Warm the estimator cache so both variants measure the sweep, not
 	// first-touch profiling.
-	search.Neighborhood(g, topo, est, s, enum, taskgraph.Options{}, workers)
+	search.Neighborhood(g, topo, est, s, enum, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		search.Neighborhood(g, topo, est, s, enum, taskgraph.Options{}, workers)
+		search.Neighborhood(g, topo, est, s, enum, workers)
 	}
 }
 

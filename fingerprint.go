@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"flexflow/internal/graph"
-	"flexflow/internal/search"
 )
 
 // The strategy-cache fingerprint. An optimize request is fully
@@ -39,14 +38,12 @@ const FingerprintVersion = 3
 //
 // Deliberately excluded — they never change the resulting strategy:
 // Workers (a wall-clock knob; results are pool-size independent),
-// OnEvent, and the cost model when Budget == 0 (the virtual clock only
-// gates work when a budget charges it; the half-time stopping criterion
-// is scale-invariant). A budgeted request is only fingerprintable when
-// its pricing is inspectable: a nil Cost resolves to the installed
-// CostProfile (or the built-in defaults), an explicit *CostProfile is
-// hashed as its JSON, and any other custom CostModel implementation
-// returns an error — callers should treat that as "uncacheable" and
-// run the search.
+// OnEvent, and the cost profile when Budget == 0 (the virtual clock
+// only gates work when a budget charges it; the half-time stopping
+// criterion is scale-invariant). A budgeted request hashes the JSON of
+// the profile pricing it: the installed CostProfile, or the built-in
+// defaults. An error (an Initial that does not export, a profile that
+// does not marshal) means "uncacheable": callers should run the search.
 func Fingerprint(p Problem, algorithm string, opts OptimizeOptions) (string, error) {
 	if p.Graph == nil || p.Topology == nil {
 		return "", fmt.Errorf("flexflow: Fingerprint needs a Graph and a Topology")
@@ -73,11 +70,7 @@ func Fingerprint(p Problem, algorithm string, opts OptimizeOptions) (string, err
 	}
 
 	if opts.Budget > 0 {
-		prof, err := resolveCostProfile(opts.Cost)
-		if err != nil {
-			return "", err
-		}
-		data, err := json.Marshal(prof)
+		data, err := json.Marshal(resolveCostProfile())
 		if err != nil {
 			return "", fmt.Errorf("flexflow: fingerprinting cost profile: %w", err)
 		}
@@ -90,27 +83,13 @@ func Fingerprint(p Problem, algorithm string, opts OptimizeOptions) (string, err
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// resolveCostProfile mirrors the search layer's pricing precedence for
-// hashing purposes: an explicit *CostProfile wins, a nil Cost falls
-// back to the installed profile and then the built-in defaults, and a
-// custom CostModel implementation is opaque — there is nothing stable
-// to hash — so it is an error.
-func resolveCostProfile(cm CostModel) (*CostProfile, error) {
-	switch {
-	case cm == nil:
-		if p := ActiveCostProfile(); p != nil {
-			return p, nil
-		}
-		if active := search.ActiveCostModel(); active != nil {
-			return nil, fmt.Errorf("flexflow: cannot fingerprint a budgeted request priced by a custom CostModel (%T)", active)
-		}
-		return DefaultCostProfile(), nil
-	default:
-		if p, ok := cm.(*CostProfile); ok {
-			return p, nil
-		}
-		return nil, fmt.Errorf("flexflow: cannot fingerprint a budgeted request priced by a custom CostModel (%T)", cm)
+// resolveCostProfile mirrors the search layer's pricing for hashing
+// purposes: the installed profile, else the built-in defaults.
+func resolveCostProfile() *CostProfile {
+	if p := ActiveCostProfile(); p != nil {
+		return p
 	}
+	return DefaultCostProfile()
 }
 
 // writeGraph folds the graph into the hash: name, then per op every

@@ -2,6 +2,7 @@ package flexflow
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,8 +16,11 @@ import (
 // runs them on every inline graph, inline topology and initial
 // strategy it decodes. None may panic, and an accepted input must
 // round-trip: its export imports again to the same export and the same
-// Fingerprint. Run one with a small -parallel, a memory cap and a
-// short minimization (the zoo seeds are up to 100 KB), e.g.
+// Fingerprint. An accepted graph of at most fuzzSearchOps ops must
+// also be searchable: data parallelism on 2 GPUs simulates and a few
+// MCMC proposals run without a panic. Run one with a small -parallel,
+// a memory cap and a short minimization (the zoo seeds are up to
+// 100 KB), e.g.
 //
 //	(ulimit -v 4000000; go test -run '^$' -fuzz FuzzImportGraph -fuzztime 60s -fuzzminimizetime 10s -parallel 2 .)
 //
@@ -24,6 +28,11 @@ import (
 
 // fuzzScale is the zoo down-scale factor the seed graphs are built at.
 const fuzzScale = 64
+
+// fuzzSearchOps bounds the graphs FuzzImportGraph searches: every zoo
+// seed but synth-2k fits at fuzzScale, and a simulation plus a few
+// proposals on them takes milliseconds, not the fuzzer's time budget.
+const fuzzSearchOps = 500
 
 // fuzzRoundTrip asserts that first, an imported value, is a fixed point
 // of export and import: its export imports to a value with the same
@@ -108,6 +117,7 @@ func FuzzImportGraph(f *testing.F) {
 		`{"name":"g","ops":[]}`,
 		`{"name":"g","ops":[{"name":"x","kind":"Warp"}]}`,
 		`{"nAme":"0","ops":[{"nAme":"0","kind":"Softmax","out":[{"siZe":1,"kind":"parameter"}]}]}`,
+		`{"name":"g","ops":[{"name":"x","kind":"Input","out":[{"name":"sample","size":2,"kind":"sample"}],"layer":-1}]}`,
 	} {
 		f.Add([]byte(bad))
 	}
@@ -116,12 +126,26 @@ func FuzzImportGraph(f *testing.F) {
 	fingerprint := func(g *Graph) (string, error) {
 		return Fingerprint(Problem{Graph: g, Topology: topo}, "mcmc", OptimizeOptions{})
 	}
+	mcmc, err := GetOptimizer("mcmc")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ImportGraph(data)
 		if err != nil {
 			return
 		}
 		fuzzRoundTrip(t, g, ExportGraph, ImportGraph, fingerprint)
+		if g.NumOps() > fuzzSearchOps {
+			return
+		}
+		if cost, _ := Simulate(g, topo, DataParallel(g, topo)); cost < 0 {
+			t.Fatalf("data parallelism simulates to %v", cost)
+		}
+		p := Problem{Graph: g, Topology: topo}
+		if _, err := mcmc.Optimize(context.Background(), p, OptimizeOptions{MaxIters: 8, Workers: 1}); err != nil {
+			t.Fatalf("a short search failed: %v", err)
+		}
 	})
 }
 

@@ -15,18 +15,16 @@
 //
 // per simulation mode (delta vs. full, the Table 4 pair of
 // conf_mlsys_JiaZA19), and records the result as a Profile that can be
-// persisted to JSON, reloaded, and handed to the search package as its
-// CostModel.
+// persisted to JSON, reloaded, and handed to the search package, which
+// prices every budgeted proposal with it (search.SetCostProfile
+// process-wide, search.Options.Cost per search).
 //
 // Resolution follows a fixed precedence chain, weakest first:
 //
 //  1. built-in defaults (Default — the historic hand-guessed constants),
 //  2. the profile's fitted per-mode parameters (Profile.Modes),
 //  3. the profile's per-model overrides (Profile.Models, keyed by
-//     graph name),
-//  4. an explicit per-search cost model (search.Options.Cost /
-//     flexflow.OptimizeOptions.Cost), which bypasses the profile
-//     entirely.
+//     graph name).
 //
 // A Profile is immutable once installed: for a fixed profile, budgeted
 // runs stay bit-identical across invocations and pool sizes, exactly as
@@ -106,9 +104,8 @@ const Version = 1
 // per-model overrides, resolved through ParamsFor's precedence chain.
 // The zero value is unusable; start from Default, Fit or Load.
 //
-// Profile implements the search package's CostModel interface
-// (ProposalCost), so a loaded profile plugs directly into
-// search.Options.Cost or search.SetDefaultCostModel.
+// ProposalCost is what the search package charges, so a loaded profile
+// plugs directly into search.Options.Cost or search.SetCostProfile.
 type Profile struct {
 	// Version is the schema version (see the package constant).
 	Version int `json:"version"`
@@ -160,8 +157,8 @@ func (p *Profile) ParamsFor(model string, mode Mode) Params {
 }
 
 // ProposalCost prices one proposal for a graph named model with
-// numTasks tasks under the given simulation mode. It implements the
-// search package's CostModel interface.
+// numTasks tasks under the given simulation mode: the virtual time a
+// budgeted search charges for it.
 func (p *Profile) ProposalCost(model string, numTasks int, fullSim bool) time.Duration {
 	return p.ParamsFor(model, modeOf(fullSim)).Cost(numTasks)
 }
@@ -249,6 +246,23 @@ func Fit(points []Point, fallback Params) Params {
 	slope := (n*sxy - sx*sy) / det
 	base := (sy - slope*sx) / n
 	return clampParams(Params{BaseNS: base, PerTaskNS: slope}, sy/n)
+}
+
+// fitModes fits each mode's points (Fit, anchored at fallback[mode])
+// and then keeps full mode at or above delta mode: a full proposal
+// rebuilds the task graph and then does everything a delta proposal
+// does, so a fit pricing it below delta at some N (noise on a small
+// batch) has its base and slope raised to delta's.
+func fitModes(points map[Mode][]Point, fallback map[Mode]Params) map[Mode]Params {
+	out := map[Mode]Params{}
+	for _, mode := range Modes() {
+		out[mode] = Fit(points[mode], fallback[mode])
+	}
+	full, delta := out[ModeFull], out[ModeDelta]
+	full.BaseNS = math.Max(full.BaseNS, delta.BaseNS)
+	full.PerTaskNS = math.Max(full.PerTaskNS, delta.PerTaskNS)
+	out[ModeFull] = full
+	return out
 }
 
 // clampParams forces a fit onto the valid (monotone) domain: a negative

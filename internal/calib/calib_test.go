@@ -46,6 +46,36 @@ func TestFitClampsToMonotone(t *testing.T) {
 	}
 }
 
+// TestFitModesKeepsFullAboveDelta feeds inverted points — full-mode
+// proposals measured cheaper than delta-mode ones, in base and in
+// slope — and checks the fitted profile never prices a full proposal
+// below a delta one at any graph size, while the delta fit and an
+// uninverted full fit are left as measured.
+func TestFitModesKeepsFullAboveDelta(t *testing.T) {
+	inverted := map[Mode][]Point{
+		ModeDelta: {{N: 100, CostNS: 60_000}, {N: 1000, CostNS: 150_000}}, // 50µs + 100ns/task
+		ModeFull:  {{N: 100, CostNS: 12_000}, {N: 1000, CostNS: 30_000}},  // 10µs + 20ns/task
+	}
+	got := fitModes(inverted, Default().Modes)
+	if want := Fit(inverted[ModeDelta], Default().Modes[ModeDelta]); got[ModeDelta] != want {
+		t.Errorf("delta fit = %+v, want it untouched at %+v", got[ModeDelta], want)
+	}
+	for _, n := range []int{0, 1, 10, 100, 1000, 10_000, 1_000_000} {
+		if full, delta := got[ModeFull].Cost(n), got[ModeDelta].Cost(n); full < delta {
+			t.Errorf("N=%d: full proposal priced %v, below delta's %v", n, full, delta)
+		}
+	}
+	if err := (&Profile{Version: Version, Modes: got}).Validate(); err != nil {
+		t.Errorf("clamped fit invalid: %v", err)
+	}
+
+	ordered := map[Mode][]Point{ModeDelta: inverted[ModeFull], ModeFull: inverted[ModeDelta]}
+	got = fitModes(ordered, Default().Modes)
+	if want := Fit(ordered[ModeFull], Default().Modes[ModeFull]); got[ModeFull] != want {
+		t.Errorf("full fit = %+v, want it untouched at %+v when it already prices above delta", got[ModeFull], want)
+	}
+}
+
 func TestFitSingleSizeAnchorsIntercept(t *testing.T) {
 	// One distinct N is underdetermined: the intercept stays at the
 	// fallback and the slope absorbs the measurement.

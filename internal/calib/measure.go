@@ -90,6 +90,8 @@ func (o Options) withDefaults() Options {
 // per-proposal costs become Points, least-squares-fitted per mode into
 // the returned profile's global parameters, with each measured model
 // also recorded as a per-model override fitted from its own points.
+// Every fit prices a full proposal at least as high as a delta one at
+// any graph size (see fitModes).
 //
 // Calibration is a wall-clock measurement: run it on an otherwise idle
 // machine. Cancelling ctx abandons the run and returns ctx.Err().
@@ -124,27 +126,22 @@ func Calibrate(ctx context.Context, opts Options) (*Profile, error) {
 		FittedAt: time.Now().UTC().Format(time.RFC3339),
 		Source: fmt.Sprintf("measured on %s/%s (%d CPUs), models %v, scale %d, %d GPUs",
 			runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), opts.Models, opts.Scale, opts.GPUs),
-		Modes:  map[Mode]Params{},
+		Modes:  fitModes(pointsByMode, fallback.Modes),
 		Models: map[string]map[Mode]Params{},
-	}
-	for _, mode := range Modes() {
-		p.Modes[mode] = Fit(pointsByMode[mode], fallback.Modes[mode])
 	}
 	// Per-model overrides: refit each model from its own points, with
 	// the global fit as the anchor when the model only contributes one
 	// graph size (CNNs: task count is batch-size independent).
 	for _, name := range opts.Models {
-		byMode := map[Mode]Params{}
-		for _, mode := range Modes() {
-			var own []Point
-			for _, pt := range pointsByMode[mode] {
+		own := map[Mode][]Point{}
+		for mode, points := range pointsByMode {
+			for _, pt := range points {
 				if pt.Model == name {
-					own = append(own, pt)
+					own[mode] = append(own[mode], pt)
 				}
 			}
-			byMode[mode] = Fit(own, p.Modes[mode])
 		}
-		p.Models[name] = byMode
+		p.Models[name] = fitModes(own, p.Modes)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("calib: fit produced an invalid profile: %w", err)

@@ -8,7 +8,6 @@ import (
 	"flexflow/internal/graph"
 	"flexflow/internal/models"
 	"flexflow/internal/search"
-	"flexflow/internal/taskgraph"
 )
 
 // GlobalOptimality reproduces the first study of Section 8.4: on small
@@ -108,7 +107,7 @@ func LocalOptimality(ctx context.Context, scale Scale, modelNames []string, devi
 		if polishedCost < res.BestCost {
 			res.Best, res.BestCost = polished, polishedCost
 		}
-		best, improving, checked := search.Neighborhood(c.g, topo, est, res.Best, enumForScale(scale, topo), taskgraph.Options{}, scale.Workers)
+		best, improving, checked := search.Neighborhood(c.g, topo, est, res.Best, enumForScale(scale, topo), scale.Workers)
 		locallyOpt := improving == nil || best >= res.BestCost
 		return []string{
 			c.name, fmt.Sprintf("%d", c.n), ms(res.BestCost),

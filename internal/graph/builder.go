@@ -299,14 +299,17 @@ func (g *Graph) Flatten(name string, in *Op) *Op {
 }
 
 // convExtent is the output extent of a convolution/pooling window of
-// the given kernel, stride and padding over an input extent.
+// the given kernel, stride and padding over an input extent. It is only
+// meaningful for a window that fits the padded input (kernel <= in +
+// 2·pad): Go's division truncates toward zero, so a kernel up to
+// stride-1 wider than that still gives an extent of 1.
 func convExtent(in, kernel, stride, pad int) int { return (in+2*pad-kernel)/stride + 1 }
 
 // convOut is convExtent for the builders, which panic on an empty
-// output.
+// output or a window wider than its padded input.
 func convOut(in, kernel, stride, pad int) int {
 	out := convExtent(in, kernel, stride, pad)
-	if out <= 0 {
+	if out <= 0 || kernel > in+2*pad {
 		panic(fmt.Sprintf("graph: convolution output extent %d (in=%d kernel=%d stride=%d pad=%d)", out, in, kernel, stride, pad))
 	}
 	return out

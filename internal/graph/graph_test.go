@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"flexflow/internal/tensor"
@@ -384,6 +385,15 @@ func TestBuilderPanics(t *testing.T) {
 			x := g.Input4D("x", 2, 3, 2, 2)
 			g.Conv2D("c", x, 4, 5, 5, 1, 1, 0, 0)
 		}},
+		// Truncating division alone gives (3-4)/2+1 = 1 here.
+		{"conv-wider-than-input-strided", func(g *Graph) {
+			x := g.Input4D("x", 2, 3, 3, 3)
+			g.Conv2D("c", x, 4, 4, 4, 2, 2, 0, 0)
+		}},
+		{"pool-wider-than-padded-input-strided", func(g *Graph) {
+			x := g.Input4D("x", 2, 3, 3, 3)
+			g.Pool2D("p", x, 6, 6, 3, 3, 1, 1)
+		}},
 		{"flatten-non4d", func(g *Graph) {
 			x := g.InputSeq("x", 2, 3)
 			g.Flatten("f", x)
@@ -455,6 +465,23 @@ func TestInputRegionMonotonicity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestValidateRejectsOverWideWindow widens a valid strided conv's
+// kernel past its input: convExtent still derives the op's 1x1 output
+// (Go's division truncates toward zero), so only the kernel check can
+// tell Validate that no such window exists.
+func TestValidateRejectsOverWideWindow(t *testing.T) {
+	g := New("wide")
+	x := g.Input4D("x", 2, 3, 3, 3)
+	c := g.Conv2D("conv", x, 4, 3, 3, 2, 2, 0, 0)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("the built graph does not validate: %v", err)
+	}
+	c.KernelH = 4
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), `"conv"`) {
+		t.Fatalf("err = %v, want an error naming op \"conv\"", err)
 	}
 }
 

@@ -91,10 +91,11 @@ func checkWiring(op *Op) error {
 
 // checkWindow rejects a Conv2D/Pool2D op whose window the builders
 // could not have emitted: a kernel or stride below 1, negative
-// padding, a convolution over fewer than one input channel, or an
-// output height/width other than the one convExtent derives from the
-// input. A search over such an op prices windows that do not exist; a
-// zero kernel, for one, sends the simulator past its fixpoint budget.
+// padding, a convolution over fewer than one input channel, a kernel
+// wider than the padded input, or an output height/width other than
+// the one convExtent derives from the input. A search over such an op
+// prices windows that do not exist; a zero kernel, for one, sends the
+// simulator past its fixpoint budget.
 func checkWindow(op *Op) error {
 	if op.KernelH < 1 || op.KernelW < 1 || op.StrideH < 1 || op.StrideW < 1 || op.PadH < 0 || op.PadW < 0 {
 		return fmt.Errorf("op %q (%v) has kernel %dx%d, stride %dx%d, pad %dx%d: kernel and stride must be >= 1 and pad >= 0",
@@ -104,6 +105,10 @@ func checkWindow(op *Op) error {
 		return fmt.Errorf("op %q (%v) has %d input channels, needs >= 1", op.Name, op.Kind, op.InChannels)
 	}
 	in := op.Inputs[0].Out
+	if op.KernelH > in.Size(2)+2*op.PadH || op.KernelW > in.Size(3)+2*op.PadW {
+		return fmt.Errorf("op %q (%v) has a %dx%d kernel, wider than its %dx%d input padded by %dx%d",
+			op.Name, op.Kind, op.KernelH, op.KernelW, in.Size(2), in.Size(3), op.PadH, op.PadW)
+	}
 	h := convExtent(in.Size(2), op.KernelH, op.StrideH, op.PadH)
 	w := convExtent(in.Size(3), op.KernelW, op.StrideW, op.PadW)
 	if op.Out.Size(2) != h || op.Out.Size(3) != w {

@@ -2,8 +2,9 @@
 // parallelization strategy and checks it against device capacities. The
 // production FlexFlow runtime enforces this constraint when mapping
 // tasks; the paper's search implicitly relies on strategies fitting in
-// GPU memory. This module makes the constraint explicit and lets the
-// optimizer reject infeasible proposals.
+// GPU memory. This module makes the constraint explicit: it reports the
+// footprint of a finished strategy (flexflow.MemoryFootprint, the
+// CLI's -mem report) and whether it fits (flexflow.CheckMemory).
 //
 // The footprint model is the standard training-memory accounting:
 //
@@ -55,92 +56,66 @@ func (u Usage) Total() int64 {
 // at least one task.
 func Footprint(g *graph.Graph, topo *device.Topology, s *config.Strategy, m Model) map[int]*Usage {
 	out := map[int]*Usage{}
+	get := func(dev int) *Usage {
+		u := out[dev]
+		if u == nil {
+			u = &Usage{}
+			out[dev] = u
+		}
+		return u
+	}
 	for _, op := range g.ComputeOps() {
 		c := s.Config(op.ID)
 		if c == nil {
 			continue
 		}
-		opFootprint(op, c, m, func(dev int) *Usage {
-			u := out[dev]
-			if u == nil {
-				u = &Usage{}
-				out[dev] = u
-			}
-			return u
-		})
-	}
-	return out
-}
-
-// OpFootprint returns the per-device byte totals contributed by one
-// operation under a configuration — the incremental unit the optimizer
-// uses to keep a running footprint across proposals. Summing OpFootprint
-// over all ops counts each op's transient workspace separately, a slight
-// (conservative) overestimate of Footprint's shared-workspace total.
-func OpFootprint(op *graph.Op, c *config.Config, m Model) map[int]int64 {
-	usages := map[int]*Usage{}
-	opFootprint(op, c, m, func(dev int) *Usage {
-		u := usages[dev]
-		if u == nil {
-			u = &Usage{}
-			usages[dev] = u
-		}
-		return u
-	})
-	out := make(map[int]int64, len(usages))
-	for dev, u := range usages {
-		out[dev] = u.Total()
-	}
-	return out
-}
-
-// opFootprint accumulates one op's contribution via the get callback.
-func opFootprint(op *graph.Op, c *config.Config, m Model, get func(dev int) *Usage) {
-	// Weight shards per device: a device holds one copy of each
-	// distinct shard its tasks use.
-	if op.HasWeights() {
-		w := op.Weights(c.Degrees)
-		shardBytes := w.Elems * tensor.ElemBytes
-		type key struct{ dev, shard int }
-		seen := map[key]bool{}
-		for k := 0; k < c.NumTasks(); k++ {
-			coords := tensor.GridCoords(c.Degrees, k)
-			shard := 0
-			for i, d := range c.Degrees {
-				if op.Out.Kind(i) == tensor.Parameter {
-					shard = shard*d + coords[i]
+		// Weight shards per device: a device holds one copy of each
+		// distinct shard its tasks use.
+		if op.HasWeights() {
+			w := op.Weights(c.Degrees)
+			shardBytes := w.Elems * tensor.ElemBytes
+			type key struct{ dev, shard int }
+			seen := map[key]bool{}
+			for k := 0; k < c.NumTasks(); k++ {
+				coords := tensor.GridCoords(c.Degrees, k)
+				shard := 0
+				for i, d := range c.Degrees {
+					if op.Out.Kind(i) == tensor.Parameter {
+						shard = shard*d + coords[i]
+					}
+				}
+				kk := key{c.Devices[k], shard}
+				if seen[kk] {
+					continue
+				}
+				seen[kk] = true
+				u := get(c.Devices[k])
+				u.Weights += shardBytes
+				if !m.Inference {
+					u.Gradients += shardBytes
+					u.Optimizer += shardBytes * int64(m.OptimizerMult)
 				}
 			}
-			kk := key{c.Devices[k], shard}
-			if seen[kk] {
+		}
+		// Activations: each task's output region lives on its device
+		// until the backward pass consumes it.
+		for k := 0; k < c.NumTasks(); k++ {
+			region := tensor.GridRegion(op.Out, c.Degrees, k)
+			u := get(c.Devices[k])
+			bytes := region.Bytes()
+			if m.Inference {
+				if bytes > u.Transient {
+					u.Transient = bytes
+				}
 				continue
 			}
-			seen[kk] = true
-			u := get(c.Devices[k])
-			u.Weights += shardBytes
-			if !m.Inference {
-				u.Gradients += shardBytes
-				u.Optimizer += shardBytes * int64(m.OptimizerMult)
-			}
-		}
-	}
-	// Activations: each task's output region lives on its device
-	// until the backward pass consumes it.
-	for k := 0; k < c.NumTasks(); k++ {
-		region := tensor.GridRegion(op.Out, c.Degrees, k)
-		u := get(c.Devices[k])
-		bytes := region.Bytes()
-		if m.Inference {
+			u.Activations += bytes
 			if bytes > u.Transient {
 				u.Transient = bytes
 			}
-			continue
-		}
-		u.Activations += bytes
-		if bytes > u.Transient {
-			u.Transient = bytes
 		}
 	}
+	return out
 }
 
 // Violation describes a device whose footprint exceeds its capacity.

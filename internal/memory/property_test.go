@@ -10,44 +10,6 @@ import (
 	"flexflow/internal/graph"
 )
 
-// Property: the sum of per-op footprints matches the whole-strategy
-// footprint exactly except for the transient term, where the per-op sum
-// is a conservative (>=) overestimate — the contract the optimizer's
-// incremental accounting relies on.
-func TestOpFootprintConsistencyProperty(t *testing.T) {
-	g := bigDenseDeep()
-	fn := func(seed int64, gpuRaw uint8) bool {
-		gpus := int(gpuRaw%6) + 2
-		topo := device.NewSingleNode(gpus, "P100")
-		rng := rand.New(rand.NewSource(seed))
-		s := config.Random(g, topo, rng)
-		m := Model{OptimizerMult: int(seed) & 1}
-
-		whole := Footprint(g, topo, s, m)
-		perOp := map[int]int64{}
-		for _, op := range g.ComputeOps() {
-			for dev, b := range OpFootprint(op, s.Config(op.ID), m) {
-				perOp[dev] += b
-			}
-		}
-		for dev, u := range whole {
-			exact := u.Weights + u.Gradients + u.Optimizer + u.Activations
-			if perOp[dev] < exact {
-				t.Logf("dev %d: per-op sum %d below exact non-transient %d", dev, perOp[dev], exact)
-				return false
-			}
-			if perOp[dev] < u.Total() {
-				t.Logf("dev %d: per-op sum %d below whole total %d", dev, perOp[dev], u.Total())
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: weight bytes across all devices are at least one full copy
 // of the model (someone must hold each shard) and at most GPUs copies
 // (full replication bound).

@@ -23,8 +23,6 @@ type ExhaustiveOptions struct {
 	Enum config.EnumOptions
 	// MaxCandidatesPerOp truncates each op's candidate list (0 = all).
 	MaxCandidatesPerOp int
-	// TaskOpts are forwarded to the task-graph builder.
-	TaskOpts taskgraph.Options
 	// Workers caps this search's share of the process-wide worker pool
 	// (0 = the pool's full bound; see par.SetWorkers). The optimum cost
 	// is identical for every value; see the package comment for what
@@ -97,7 +95,7 @@ func Exhaustive(ctx context.Context, g *graph.Graph, topo *device.Topology, est 
 		// Degenerate space: the single (empty) strategy is the optimum,
 		// exactly as the serial DFS's immediate depth==0 leaf was.
 		res.Best = config.NewStrategy(g)
-		tg := taskgraph.Build(g, topo, res.Best.Clone(), est, opts.TaskOpts)
+		tg := taskgraph.Build(g, topo, res.Best.Clone(), est, taskgraph.Options{})
 		res.BestCost = sim.NewState(tg).Simulate()
 		res.Explored = 1
 		return res
@@ -164,7 +162,7 @@ func Exhaustive(ctx context.Context, g *graph.Graph, topo *device.Topology, est 
 				for i, op := range ops {
 					strat.Set(op.ID, candidates[i][chosen[i]])
 				}
-				tg := taskgraph.Build(g, topo, strat, est, opts.TaskOpts)
+				tg := taskgraph.Build(g, topo, strat, est, taskgraph.Options{})
 				cost := sim.NewState(tg).Simulate()
 				n := explored.Add(1)
 				if cost < local.cost {
@@ -253,8 +251,6 @@ type PolishOptions struct {
 	// Enum bounds the per-op candidate configurations of the neighbour
 	// set.
 	Enum config.EnumOptions
-	// TaskOpts are forwarded to the task-graph builder.
-	TaskOpts taskgraph.Options
 	// MaxRounds caps the descent rounds (0 = default 20).
 	MaxRounds int
 	// Workers caps the share of the process-wide worker pool each
@@ -279,14 +275,14 @@ func Polish(ctx context.Context, g *graph.Graph, topo *device.Topology, est perf
 		maxRounds = 20
 	}
 	cur := s.Clone()
-	tg := taskgraph.Build(g, topo, cur.Clone(), est, opts.TaskOpts)
+	tg := taskgraph.Build(g, topo, cur.Clone(), est, taskgraph.Options{})
 	st := sim.NewState(tg)
 	best := st.Simulate()
 	for round := 0; round < maxRounds; round++ {
 		if cancelled(ctx) {
 			break
 		}
-		cost, improving, checked := Neighborhood(g, topo, est, cur, opts.Enum, opts.TaskOpts, opts.Workers)
+		cost, improving, checked := Neighborhood(g, topo, est, cur, opts.Enum, opts.Workers)
 		if improving == nil || cost >= best {
 			break
 		}
@@ -315,8 +311,8 @@ func Polish(ctx context.Context, g *graph.Graph, topo *device.Topology, est perf
 // called from inside a pool worker (Polish inside an experiments
 // cell), the nested fan-out composes under the same global bound
 // instead of multiplying it.
-func Neighborhood(g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, s *config.Strategy, enum config.EnumOptions, taskOpts taskgraph.Options, workers int) (bestCost time.Duration, improving *config.Strategy, checked int) {
-	plan := taskgraph.Compile(g, topo, s.Clone(), est, taskOpts)
+func Neighborhood(g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, s *config.Strategy, enum config.EnumOptions, workers int) (bestCost time.Duration, improving *config.Strategy, checked int) {
+	plan := taskgraph.Compile(g, topo, s.Clone(), est, taskgraph.Options{})
 	base := sim.NewState(plan.Base())
 	baseCost := base.Simulate()
 

@@ -39,13 +39,13 @@
 // rejected proposal with a second delta.
 //
 // Budgets are charged in virtual time: every proposal costs a
-// deterministic amount priced by the active CostModel — a measured
-// calibration profile (internal/calib) when one is installed, the
-// built-in order-of-magnitude constants otherwise — so Budget > 0
+// deterministic amount priced by a cost profile (internal/calib) — a
+// measured calibration profile when one is installed, the built-in
+// order-of-magnitude constants otherwise — so Budget > 0
 // bounds a fixed proposal count per chain and the paper's
 // "no improvement for half the search time" criterion is evaluated
 // against the chain's virtual clock. The determinism contract is
-// therefore unconditional: for a fixed Seed and a fixed cost model the
+// therefore unconditional: for a fixed Seed and a fixed cost profile the
 // result (Best, BestCost, Iters, Accepted, Trace, SimStats —
 // everything except the wall-clock SearchTime) is bit-identical for
 // every Workers value, budgeted or not, run to run. Wall-clock limits
@@ -65,10 +65,10 @@ import (
 	"sync"
 	"time"
 
+	"flexflow/internal/calib"
 	"flexflow/internal/config"
 	"flexflow/internal/device"
 	"flexflow/internal/graph"
-	"flexflow/internal/memory"
 	"flexflow/internal/par"
 	"flexflow/internal/perfmodel"
 	"flexflow/internal/sim"
@@ -114,7 +114,7 @@ type Options struct {
 	MaxIters int
 	// Budget caps the *virtual* search time per initial strategy
 	// (0 = unlimited; MaxIters still applies). Proposals are charged a
-	// deterministic cost by the active CostModel (see Cost), so a
+	// deterministic cost by the cost profile (see Cost), so a
 	// budgeted run executes a fixed proposal count and replays exactly.
 	// Bound wall-clock time through the context instead.
 	Budget time.Duration
@@ -127,22 +127,11 @@ type Options struct {
 	FullSim bool
 	// Space restricts proposals (ablation).
 	Space Space
-	// TaskOpts are forwarded to the task-graph builder.
-	TaskOpts taskgraph.Options
-	// MemoryCheck rejects proposals whose per-device footprint (under
-	// MemoryModel) exceeds device capacity, mirroring the memory
-	// constraint the production FlexFlow runtime enforces.
-	MemoryCheck bool
-	// MemoryModel configures the footprint accounting when MemoryCheck
-	// is set (zero value = plain SGD training).
-	MemoryModel memory.Model
 	// Cost prices proposals for the virtual-time budget (nil = the
-	// process-wide default installed by SetDefaultCostModel, which is
-	// the built-in order-of-magnitude constants unless a fitted
-	// calibration profile has been installed). It is resolved once at
-	// search start, so a fixed cost model keeps budgeted runs
-	// bit-identical across Workers values and pool sizes.
-	Cost CostModel
+	// profile installed by SetCostProfile, or calib.Default() when none
+	// is). It is resolved once at search start, so a fixed profile keeps
+	// budgeted runs bit-identical across Workers values and pool sizes.
+	Cost *calib.Profile
 	// Workers caps this search's share of the process-wide worker pool
 	// (0 = the pool's full bound; see par.SetWorkers). Results are
 	// identical for every value and every pool size; see the package
@@ -172,8 +161,8 @@ type TracePoint struct {
 type Result struct {
 	Best     *config.Strategy
 	BestCost time.Duration
-	// Iters counts priced proposals (a draw skipped as a no-op or as
-	// memory-infeasible is none) and Accepted the accepted ones.
+	// Iters counts priced proposals (a draw skipped as a no-op is none)
+	// and Accepted the accepted ones.
 	Iters, Accepted int
 	// SearchTime is the wall-clock time the optimizer ran for (the only
 	// field of a Result that is not deterministic).
@@ -208,11 +197,14 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 	if opts.MaxIters == 0 {
 		opts.MaxIters = DefaultOptions().MaxIters
 	}
-	// Resolve the cost model once, before the fan-out: every chain
-	// prices proposals identically even if SetDefaultCostModel is
-	// called while the search runs.
+	// Resolve the cost profile once, before the fan-out: every chain
+	// prices proposals identically even if SetCostProfile is called
+	// while the search runs.
 	if opts.Cost == nil {
-		opts.Cost = defaultCostModel()
+		opts.Cost = ActiveCostProfile()
+	}
+	if opts.Cost == nil {
+		opts.Cost = calib.Default()
 	}
 	start := time.Now()
 	if len(initials) == 0 {
@@ -246,7 +238,7 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 	}
 	results := make([]Result, len(initials))
 	par.ForEach(opts.Workers, len(initials), func(i int) {
-		start0 := slots[i].get(ctx, g, topo, est, opts.TaskOpts)
+		start0 := slots[i].get(ctx, g, topo, est)
 		rng := rand.New(rand.NewSource(chainSeed(opts.Seed, i)))
 		results[i] = runChain(ctx, g, topo, est, initials[i], start0, i, opts, rng)
 	})
@@ -297,11 +289,11 @@ type planSlot struct {
 // get returns the slot's chainStart, compiling it on first use. The
 // work runs inside a search.compile trace region (free when tracing is
 // off), one per distinct initial.
-func (s *planSlot) get(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, opts taskgraph.Options) chainStart {
+func (s *planSlot) get(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmodel.Estimator) chainStart {
 	s.once.Do(func() {
 		defer func() { s.panicked = recover() }()
 		defer trace.StartRegion(ctx, "search.compile").End()
-		plan := taskgraph.Compile(g, topo, s.init.Clone(), est, opts)
+		plan := taskgraph.Compile(g, topo, s.init.Clone(), est, taskgraph.Options{})
 		base := sim.NewState(plan.Base())
 		base.Simulate()
 		s.start = chainStart{plan: plan, base: base}
@@ -328,7 +320,7 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 	cost := st.Makespan
 
 	// The chain's deterministic clock: every proposal advances it by an
-	// amount the cost model derives only from (model, task-graph size,
+	// amount the cost profile derives only from (model, task-graph size,
 	// simulation mode), so the budget and the half-time stopping
 	// criterion replay exactly for a fixed model/profile.
 	perProposal := opts.Cost.ProposalCost(g.Name, len(tg.Tasks), opts.FullSim)
@@ -344,53 +336,12 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 	allowed := opts.Space.allowed()
 	lastImprove := time.Duration(0) // virtual time of the last chain-best improvement
 
-	// Incremental memory accounting: running per-device totals plus
-	// per-op contributions, updated as proposals are accepted.
-	var memUsage []int64
-	var memCaps []int64
-	opMem := map[int]map[int]int64{}
-	if opts.MemoryCheck {
-		memUsage = make([]int64, topo.NumDevices())
-		memCaps = make([]int64, topo.NumDevices())
-		for id := 0; id < topo.NumDevices(); id++ {
-			if gb := topo.Device(id).MemGB; gb > 0 {
-				memCaps[id] = int64(gb * 1e9)
-			}
-		}
-		for _, op := range ops {
-			fp := memory.OpFootprint(op, cur.Config(op.ID), opts.MemoryModel)
-			opMem[op.ID] = fp
-			for dev, b := range fp {
-				memUsage[dev] += b
-			}
-		}
-	}
-	memFeasible := func(op *graph.Op, newFP map[int]int64) bool {
-		old := opMem[op.ID]
-		for dev, b := range newFP {
-			total := memUsage[dev] - old[dev] + b
-			if memCaps[dev] > 0 && total > memCaps[dev] {
-				return false
-			}
-		}
-		return true
-	}
-	memCommit := func(op *graph.Op, newFP map[int]int64) {
-		old := opMem[op.ID]
-		for dev, b := range old {
-			memUsage[dev] -= b
-		}
-		for dev, b := range newFP {
-			memUsage[dev] += b
-		}
-		opMem[op.ID] = newFP
-	}
-
-	// draws counts every draw taken, skipped ones (no-ops, memory-
-	// infeasible configs) included: they advance the chain's clock too.
-	// res.Iters counts only the priced ones.
+	// draws counts every draw taken, skipped no-ops included: they
+	// advance the chain's clock too. res.Iters counts only the priced
+	// ones. A graph with no compute ops (only inputs) has nothing to
+	// draw: its chain ends where it starts.
 	draws := 0
-	for it := 1; it <= opts.MaxIters; it++ {
+	for it := 1; it <= opts.MaxIters && len(ops) > 0; it++ {
 		if cancelled(ctx) {
 			break
 		}
@@ -418,13 +369,6 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 		if newCfg.Equal(oldCfg) {
 			continue
 		}
-		var newFP map[int]int64
-		if opts.MemoryCheck {
-			newFP = memory.OpFootprint(op, newCfg, opts.MemoryModel)
-			if !memFeasible(op, newFP) {
-				continue // infeasible proposal: rejected outright
-			}
-		}
 		res.Iters++
 
 		// Price the proposal. Delta mode replaces the op's config on the
@@ -433,7 +377,7 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 		var newCost time.Duration
 		if opts.FullSim {
 			cur.Set(op.ID, newCfg)
-			full := taskgraph.Build(g, topo, cur.Clone(), est, opts.TaskOpts)
+			full := taskgraph.Build(g, topo, cur.Clone(), est, taskgraph.Options{})
 			fullState := sim.NewState(full)
 			newCost = fullState.Simulate()
 			st.Stats.FullSims++
@@ -453,9 +397,6 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 		cur.Set(op.ID, newCfg)
 		cost = newCost
 		res.Accepted++
-		if opts.MemoryCheck {
-			memCommit(op, newFP)
-		}
 		if cost < res.BestCost {
 			res.BestCost = cost
 			res.Best = cur.Clone()

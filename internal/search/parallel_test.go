@@ -13,7 +13,6 @@ import (
 	"flexflow/internal/graph"
 	"flexflow/internal/models"
 	"flexflow/internal/perfmodel"
-	"flexflow/internal/taskgraph"
 )
 
 // parallelCases are the models of the Workers=1 vs Workers=N
@@ -399,12 +398,12 @@ func TestNeighborhoodParallelMatchesSerial(t *testing.T) {
 
 		for name, s := range starts {
 			enum := config.EnumOptions{MaxDegree: 4}
-			serialCost, serialBest, serialChecked := Neighborhood(c.g, topo, est, s, enum, taskgraph.Options{}, 1)
+			serialCost, serialBest, serialChecked := Neighborhood(c.g, topo, est, s, enum, 1)
 			if serialChecked == 0 {
 				t.Fatalf("%s/%s: no neighbours checked", c.name, name)
 			}
 			for _, workers := range []int{2, 3, runtime.NumCPU()} {
-				cost, best, checked := Neighborhood(c.g, topo, est, s, enum, taskgraph.Options{}, workers)
+				cost, best, checked := Neighborhood(c.g, topo, est, s, enum, workers)
 				if cost != serialCost || checked != serialChecked {
 					t.Errorf("%s/%s workers=%d: (cost %v, checked %d) != serial (%v, %d)",
 						c.name, name, workers, cost, checked, serialCost, serialChecked)

@@ -30,16 +30,16 @@ type ProgressEvent struct {
 	// Iter counts proposals (episodes, leaves, rounds) completed by the
 	// emitting chain when the event fired. For MCMC it is the chain's
 	// draw count, the same clock Elapsed and the budget charge: a draw
-	// skipped as a no-op or as memory-infeasible counts, though it is
-	// not a priced proposal in Result.Iters.
+	// skipped as a no-op counts, though it is not a priced proposal in
+	// Result.Iters.
 	Iter int
 	// BestCost is the best simulated iteration time known to the
 	// emitting chain.
 	BestCost time.Duration
 	// Elapsed is the chain's elapsed virtual search time where the
 	// algorithm keeps a virtual clock (MCMC — proposals are charged by
-	// the active CostModel, a fitted profile or the built-in defaults),
-	// and wall clock otherwise.
+	// the cost profile, a fitted one or the built-in defaults), and wall
+	// clock otherwise.
 	Elapsed time.Duration
 	// Final marks the last event a chain emits before returning.
 	Final bool
@@ -52,7 +52,7 @@ func emit(cb func(ProgressEvent), ev ProgressEvent) {
 	}
 }
 
-// Virtual-time cost model. A budgeted MCMC run used to stop on the
+// Virtual-time cost profile. A budgeted MCMC run used to stop on the
 // wall clock, which made Budget > 0 runs nondeterministic by design.
 // The budget is instead charged in virtual time: every proposal costs a
 // deterministic amount that depends only on the model name, the
@@ -60,73 +60,45 @@ func emit(cb func(ProgressEvent), ev ProgressEvent) {
 // fixed proposal count and budgeted runs replay exactly — across
 // invocations and across Workers values.
 //
-// Where that cost comes from is pluggable. The built-in default is
+// The price list is a calib.Profile. The built-in one is
 // calib.Default() — order-of-magnitude estimates of the two simulation
 // algorithms' per-proposal cost (the delta algorithm re-times only the
 // tasks a proposal touches; the full algorithm rebuilds and re-times
 // the whole graph — Table 4's ~2-7x gap grows with graph size). A
-// measured, least-squares-fitted profile (internal/calib, produced by
+// measured, least-squares-fitted profile (produced by
 // `flexflow -calibrate`) replaces it process-wide through
-// SetDefaultCostModel, or per search through Options.Cost; either way
-// the cost model is resolved once per search, before the chains fan
-// out, so a fixed profile keeps budgeted runs bit-identical for every
-// pool size.
-
-// CostModel prices one optimizer proposal in deterministic virtual
-// time. Implementations must be pure functions of their arguments —
-// the determinism contract charges every replay of a proposal the same
-// cost — and safe for concurrent use. calib.Profile implements
-// CostModel; the default (see DefaultCostModel) is the built-in
-// order-of-magnitude constants.
-type CostModel interface {
-	// ProposalCost prices one proposal for a graph named model with
-	// numTasks tasks, under the full or delta simulation algorithm.
-	ProposalCost(model string, numTasks int, fullSim bool) time.Duration
-}
-
-// DefaultCostModel returns the built-in order-of-magnitude cost model
-// (calib.Default(), the single source of those constants).
-func DefaultCostModel() CostModel { return calib.Default() }
+// SetCostProfile, or per search through Options.Cost; either way the
+// profile is resolved once per search, before the chains fan out, so a
+// fixed profile keeps budgeted runs bit-identical for every pool size.
 
 var (
-	costModelMu sync.RWMutex
-	// activeCostModel is the installed process-wide cost model; nil
-	// means the built-in defaults are in effect. This is the single
-	// source of truth — the facade's SetCostProfile/ActiveCostProfile
-	// are thin wrappers over it.
-	activeCostModel CostModel
+	costProfileMu sync.RWMutex
+	// activeCostProfile is the installed process-wide profile; nil
+	// means calib.Default() is in effect. This is the single source of
+	// truth — the facade's SetCostProfile/ActiveCostProfile are thin
+	// wrappers over it.
+	activeCostProfile *calib.Profile
 )
 
-// SetDefaultCostModel installs the process-wide cost model used by
-// searches whose Options.Cost is nil, returning the previous one (nil
-// if the built-in defaults were in effect); passing nil restores the
-// built-in defaults. Install a fitted calib.Profile here (the facade's
-// SetCostProfile does) to make every budgeted search charge measured
-// costs. Searches resolve the model once at start, so changing it
-// mid-search never splits a run's chains across models.
-func SetDefaultCostModel(cm CostModel) CostModel {
-	costModelMu.Lock()
-	defer costModelMu.Unlock()
-	prev := activeCostModel
-	activeCostModel = cm
+// SetCostProfile installs the process-wide profile pricing searches
+// whose Options.Cost is nil, returning the previous one (nil if the
+// built-in defaults were in effect); passing nil restores the built-in
+// defaults. Searches resolve the profile once at start, so changing it
+// mid-search never splits a run's chains across price lists.
+func SetCostProfile(p *calib.Profile) *calib.Profile {
+	costProfileMu.Lock()
+	defer costProfileMu.Unlock()
+	prev := activeCostProfile
+	activeCostProfile = p
 	return prev
 }
 
-// ActiveCostModel returns the installed process-wide cost model, or
-// nil when nil-Cost searches are priced by the built-in defaults.
-func ActiveCostModel() CostModel {
-	costModelMu.RLock()
-	defer costModelMu.RUnlock()
-	return activeCostModel
-}
-
-// defaultCostModel returns the cost model pricing nil-Cost searches:
-// the installed one, or the built-in defaults.
-func defaultCostModel() CostModel {
-	if cm := ActiveCostModel(); cm != nil {
-		return cm
-	}
-	return calib.Default()
+// ActiveCostProfile returns the installed process-wide profile, or nil
+// when nil-Cost searches are priced by calib.Default().
+func ActiveCostProfile() *calib.Profile {
+	costProfileMu.RLock()
+	defer costProfileMu.RUnlock()
+	return activeCostProfile
 }
 
 // cancelled reports whether ctx has been cancelled, without blocking.

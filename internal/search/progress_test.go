@@ -15,7 +15,7 @@ import (
 )
 
 func TestProposalCostScaling(t *testing.T) {
-	cm := DefaultCostModel()
+	cm := calib.Default()
 	small := cm.ProposalCost("mlp", 100, false)
 	big := cm.ProposalCost("mlp", 10000, false)
 	if big <= small {
@@ -26,11 +26,10 @@ func TestProposalCostScaling(t *testing.T) {
 	}
 }
 
-// TestSetDefaultCostModel pins the process-wide default: installing a
-// model changes what nil-Cost searches charge, nil restores the
-// built-in constants, and the previous model is returned for scoped
-// swaps.
-func TestSetDefaultCostModel(t *testing.T) {
+// TestSetCostProfile pins the process-wide default: a nil-Cost search
+// is priced by the installed profile, nil restores the built-in
+// constants, and the previous profile is returned for scoped swaps.
+func TestSetCostProfile(t *testing.T) {
 	fixed := &calib.Profile{
 		Version: calib.Version,
 		Modes: map[calib.Mode]calib.Params{
@@ -38,25 +37,39 @@ func TestSetDefaultCostModel(t *testing.T) {
 			calib.ModeFull:  {BaseNS: 1000, PerTaskNS: 100},
 		},
 	}
-	prev := SetDefaultCostModel(fixed)
-	defer SetDefaultCostModel(prev)
-	if got := defaultCostModel().ProposalCost("x", 100, false); got != fixed.ProposalCost("x", 100, false) {
-		t.Fatalf("installed cost model not active: %v", got)
+	g := tinyMLP()
+	topo := device.NewSingleNode(4, "P100")
+	initials := Initials(g, topo, 5, false)
+	// iters is how many proposals a budgeted search priced by cost
+	// (nil = the installed profile) gets through.
+	iters := func(cost *calib.Profile) int {
+		opts := DefaultOptions()
+		opts.MaxIters = 400
+		opts.Budget = 2 * time.Millisecond
+		opts.Cost = cost
+		return MCMC(context.Background(), g, topo, perfmodel.NewAnalyticModel(), initials, opts).Iters
 	}
-	if restored := SetDefaultCostModel(nil); restored != CostModel(fixed) {
-		t.Fatalf("SetDefaultCostModel did not return the previous model")
+	if iters(fixed) == iters(calib.Default()) {
+		t.Fatal("the two profiles buy the same proposal count, so the test cannot tell them apart")
 	}
-	builtin := DefaultCostModel().ProposalCost("x", 100, false)
-	if got := defaultCostModel().ProposalCost("x", 100, false); got != builtin {
-		t.Fatalf("nil did not restore the built-in constants: %v vs %v", got, builtin)
+	prev := SetCostProfile(fixed)
+	defer SetCostProfile(prev)
+	if got, want := iters(nil), iters(fixed); got != want {
+		t.Fatalf("installed profile not active: %d proposals, want %d", got, want)
 	}
-	SetDefaultCostModel(fixed) // leave as found for the deferred restore
+	if restored := SetCostProfile(nil); restored != fixed {
+		t.Fatalf("SetCostProfile did not return the previous profile")
+	}
+	if got, want := iters(nil), iters(calib.Default()); got != want {
+		t.Fatalf("nil did not restore the built-in constants: %d proposals, want %d", got, want)
+	}
+	SetCostProfile(fixed) // leave as found for the deferred restore
 }
 
 // TestVirtualTimeDriftReport closes the calibration loop: it fits a
 // cost profile on this machine (internal/calib, the same measurement
 // `flexflow -calibrate` runs), drives a single-worker micro-search with
-// the fitted profile as its CostModel, and compares the wall clock
+// the fitted profile as its Cost, and compares the wall clock
 // against the virtual clock the budget machinery charged. The built-in
 // order-of-magnitude constants are logged alongside for comparison; the
 // *fitted* profile must price proposals within 10x of measured reality
@@ -108,7 +121,7 @@ func TestVirtualTimeDriftReport(t *testing.T) {
 			opts.FullSim = mode.fullSim
 			opts.Cost = prof
 			charged := prof.ProposalCost(model, numTasks, mode.fullSim)
-			builtin := DefaultCostModel().ProposalCost(model, numTasks, mode.fullSim)
+			builtin := calib.Default().ProposalCost(model, numTasks, mode.fullSim)
 
 			start := time.Now()
 			res := MCMC(context.Background(), g, topo, est, []*config.Strategy{init.Clone()}, opts)
@@ -155,19 +168,28 @@ func TestVirtualTimeDriftReport(t *testing.T) {
 	}
 }
 
-// flatCost charges every proposal the same virtual time.
-type flatCost time.Duration
-
-func (c flatCost) ProposalCost(string, int, bool) time.Duration { return time.Duration(c) }
+// flatCost is a profile charging every proposal price, whatever the
+// graph size or simulation mode.
+func flatCost(price time.Duration) *calib.Profile {
+	flat := calib.Params{BaseNS: float64(price)}
+	return &calib.Profile{
+		Version: calib.Version,
+		Modes:   map[calib.Mode]calib.Params{calib.ModeDelta: flat, calib.ModeFull: flat},
+	}
+}
 
 // TestMCMCFinalEventClock pins MCMC's progress events to one clock, the
-// chain's draws: on fatModel under MemoryCheck 143 of 150 draws are
-// skipped as infeasible, yet each still advances the virtual clock, so
-// each chain's final event must report the draws taken and their
-// virtual time, at least as far as any earlier event of the chain.
+// chain's draws: on tinyMLP over 2 GPUs, sample-dimension proposals
+// from data parallelism redraw the current config often enough that
+// some draws are skipped as no-ops, yet each still advances the virtual
+// clock, so each chain's final event must report the draws taken and
+// their virtual time, at least as far as any earlier event of the
+// chain.
 func TestMCMCFinalEventClock(t *testing.T) {
 	const price = time.Millisecond
-	g, topo, init := fatModel()
+	g := tinyMLP()
+	topo := device.NewSingleNode(2, "P100")
+	init := config.DataParallel(g, topo)
 	for _, tc := range []struct {
 		name   string
 		budget time.Duration
@@ -182,7 +204,7 @@ func TestMCMCFinalEventClock(t *testing.T) {
 			opts := DefaultOptions()
 			opts.MaxIters = 150
 			opts.Seed = 5
-			opts.MemoryCheck = true
+			opts.Space = SpaceSample
 			opts.Budget = tc.budget
 			opts.Cost = flatCost(price)
 			opts.OnEvent = func(ev ProgressEvent) {

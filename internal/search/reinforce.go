@@ -25,7 +25,6 @@ type ReinforceOptions struct {
 	BatchSize int     // samples per gradient step
 	LR        float64 // policy learning rate
 	Seed      int64
-	TaskOpts  taskgraph.Options
 	// Workers caps the share of the process-wide worker pool a batch's
 	// episode rollouts may use (0 = the pool's full bound; see
 	// par.SetWorkers). Rollouts follow the same determinism recipe as
@@ -123,7 +122,7 @@ func Reinforce(ctx context.Context, g *graph.Graph, topo *device.Topology, est p
 				choice[i] = sampleProbs(probs[i], rng)
 				s.Set(op.ID, config.OnDevice(op, gpus[choice[i]]))
 			}
-			tg := taskgraph.Build(g, topo, s, est, opts.TaskOpts)
+			tg := taskgraph.Build(g, topo, s, est, taskgraph.Options{})
 			eps[k] = episode{choice: choice, strat: s, cost: sim.NewState(tg).Simulate()}
 		})
 		// Merge and apply the policy-gradient step serially, in episode

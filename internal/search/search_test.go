@@ -9,10 +9,8 @@ import (
 	"flexflow/internal/config"
 	"flexflow/internal/device"
 	"flexflow/internal/graph"
-	"flexflow/internal/memory"
 	"flexflow/internal/perfmodel"
 	"flexflow/internal/taskgraph"
-	"flexflow/internal/tensor"
 )
 
 // tinyMLP is small enough for fast searches but compute-heavy enough
@@ -264,7 +262,7 @@ func TestExhaustivePruningSound(t *testing.T) {
 	ex := Exhaustive(context.Background(), g, topo, est, ExhaustiveOptions{Enum: enum, MaxCandidatesPerOp: 6})
 	// The global optimum of the space has no improving neighbour within
 	// the same space.
-	best, improving, checked := Neighborhood(g, topo, est, ex.Best, enum, taskgraph.Options{}, 1)
+	best, improving, checked := Neighborhood(g, topo, est, ex.Best, enum, 1)
 	if checked == 0 {
 		t.Fatal("no neighbours checked")
 	}
@@ -291,7 +289,7 @@ func TestPolishReachesLocalOptimum(t *testing.T) {
 		t.Fatalf("polish did not improve all-on-one-device: %v vs %v", cost, base)
 	}
 	// The polished strategy has no improving neighbour (local optimum).
-	best, improving, _ := Neighborhood(g, topo, est, polished, enum, taskgraph.Options{}, 1)
+	best, improving, _ := Neighborhood(g, topo, est, polished, enum, 1)
 	if improving != nil && best < cost {
 		t.Fatalf("polished strategy has improving neighbour: %v < %v", best, cost)
 	}
@@ -313,7 +311,7 @@ func TestNeighborhoodFindsImprovement(t *testing.T) {
 		bad.Set(op.ID, config.OnDevice(op, 0))
 	}
 	base, _ := Evaluate(g, topo, est, bad, taskgraph.Options{})
-	best, improving, _ := Neighborhood(g, topo, est, bad, config.EnumOptions{}, taskgraph.Options{}, 1)
+	best, improving, _ := Neighborhood(g, topo, est, bad, config.EnumOptions{}, 1)
 	if improving == nil || best >= base {
 		t.Fatalf("no improving neighbour found for all-on-one-device (base %v, best %v)", base, best)
 	}
@@ -396,47 +394,31 @@ func TestReinforcePlacement(t *testing.T) {
 	}
 }
 
-// fatModel is a model whose full replication does not fit its two
-// tiny devices, with a feasible parameter-sharded starting strategy.
-func fatModel() (*graph.Graph, *device.Topology, *config.Strategy) {
-	g := graph.New("fat")
-	x := g.InputTensor("x", tensor.MakeShape(
-		tensor.D(graph.DimSample, 64, tensor.Sample),
-		tensor.D(graph.DimChannel, 4096, tensor.Attribute)))
-	h := g.Dense("fc1", x, 8192) // ~134 MB weights
-	g.Dense("fc2", h, 4096)      // ~134 MB weights
-
-	topo := device.NewTopology("small-mem")
-	a := topo.AddDevice(device.Device{Kind: device.GPU, Name: "g0", Model: "P100", PeakGFLOPS: 9300, MemBWGBs: 732, MemGB: 0.4})
-	b := topo.AddDevice(device.Device{Kind: device.GPU, Name: "g1", Model: "P100", PeakGFLOPS: 9300, MemBWGBs: 732, MemGB: 0.4})
-	topo.AddLink(device.NVLink, a, b, 18, 0)
-
-	// Start from a feasible sharded strategy.
-	init := config.NewStrategy(g)
-	for _, op := range g.ComputeOps() {
-		init.Set(op.ID, config.ParamParallel(op, topo.GPUs()))
-	}
-	return g, topo, init
-}
-
-func TestMCMCMemoryCheck(t *testing.T) {
-	// The memory-checked search must only ever hold feasible strategies.
-	g, topo, init := fatModel()
-	if !memory.Fits(g, topo, init, memory.Model{}) {
-		t.Fatal("initial strategy should fit")
-	}
+// TestMCMCInputOnlyGraph runs MCMC on a graph with no compute ops, as
+// an imported graph may be: there is nothing to propose, so every chain
+// returns its start after no draws instead of panicking on an empty
+// op draw.
+func TestMCMCInputOnlyGraph(t *testing.T) {
+	g := graph.New("inputs")
+	g.Input4D("x", 8, 3, 4, 4)
+	topo := device.NewSingleNode(2, "P100")
+	var final []ProgressEvent
 	opts := DefaultOptions()
-	opts.MaxIters = 400
-	opts.MemoryCheck = true
-	res := MCMC(context.Background(), g, topo, perfmodel.NewAnalyticModel(), []*config.Strategy{init}, opts)
-	if err := memory.Check(g, topo, res.Best, memory.Model{}); err != nil {
-		t.Fatalf("memory-checked search returned an infeasible strategy: %v", err)
+	opts.Workers = 1
+	opts.OnEvent = func(ev ProgressEvent) {
+		if ev.Final {
+			final = append(final, ev)
+		}
 	}
-	// Without the check, the same walk is free to adopt infeasible
-	// strategies (data-parallel-ish replication); it usually does.
-	opts.MemoryCheck = false
-	free := MCMC(context.Background(), g, topo, perfmodel.NewAnalyticModel(), []*config.Strategy{init}, opts)
-	_ = free // no assertion: feasibility is simply not guaranteed here
+	res := MCMC(context.Background(), g, topo, perfmodel.NewAnalyticModel(), Initials(g, topo, 1, false), opts)
+	if res.Best == nil || res.Iters != 0 || res.BestCost != 0 {
+		t.Fatalf("got Best %v, %d proposals, cost %v; want the empty start, none, 0", res.Best, res.Iters, res.BestCost)
+	}
+	for _, ev := range final {
+		if ev.Iter != 0 {
+			t.Errorf("chain %d: final event after %d draws, want 0", ev.Chain, ev.Iter)
+		}
+	}
 }
 
 func TestSoftmaxHelpers(t *testing.T) {

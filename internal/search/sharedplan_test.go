@@ -216,7 +216,7 @@ func TestMCMCSharedPlanSlotCompilesOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			starts[i] = slot.get(context.Background(), g, topo, est, taskgraph.Options{})
+			starts[i] = slot.get(context.Background(), g, topo, est)
 		}()
 	}
 	wg.Wait()

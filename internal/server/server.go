@@ -233,9 +233,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if fpErr == nil && s.index != nil && !req.wire.NoCache && req.wire.Options.BudgetMS == 0 {
 		s.index.put(bodyKey, fp)
 	}
-	// An uncacheable request (fpErr != nil — e.g. a budget priced by an
-	// opaque process-wide CostModel) still runs; it just cannot be
-	// answered from or stored into the cache, nor coalesced.
+	// An uncacheable request (fpErr != nil — a budgeted one whose
+	// installed cost profile does not marshal, say) still runs; it just
+	// cannot be answered from or stored into the cache, nor coalesced.
 	if fpErr == nil && s.cache != nil && !req.wire.NoCache {
 		if hit, ok := s.cache.get(fp); ok {
 			s.met.cacheHits.Add(1)

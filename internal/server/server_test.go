@@ -830,6 +830,9 @@ var badRequestBodies = map[string]string{
 	"uniform":           `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"uniform"}}`,
 	"late-biased":       `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"late-biased"}}`,
 	"stratified":        `{"model":"lenet","scale":16,"gpus":2,"options":{"locality":"stratified"}}`,
+	// A 4x4 kernel over a 3x3 input at stride 2: truncating division
+	// alone derives the 1x1 output this op claims.
+	"over-wide window": `{"graph":{"name":"wide","ops":[{"name":"x","kind":"Input","out":[{"name":"sample","size":2,"kind":"sample"},{"name":"channel","size":3,"kind":"unsplittable"},{"name":"height","size":3,"kind":"attribute"},{"name":"width","size":3,"kind":"attribute"}],"layer":-1},{"name":"conv","kind":"Conv2D","out":[{"name":"sample","size":2,"kind":"sample"},{"name":"channel","size":4,"kind":"parameter"},{"name":"height","size":1,"kind":"attribute"},{"name":"width","size":1,"kind":"attribute"}],"inputs":["x"],"kernel_h":4,"kernel_w":4,"stride_h":2,"stride_w":2,"in_channels":3,"layer":-1,"weight_elems":196}]},"gpus":2}`,
 }
 
 // TestDeletedLocalityRejected pins the answer to the deleted

@@ -252,14 +252,12 @@ func removeSlot(row []int32, slot int32) []int32 {
 	return row
 }
 
-// Options control task-graph construction.
+// Options control task-graph construction. Every graph is a training
+// graph, like the paper's: forward, backward and parameter
+// synchronization. The zero value builds it with ring all-reduce, which
+// is what every optimizer uses; only the synchronization ablation sets
+// a field.
 type Options struct {
-	// SkipBackward limits the graph to the forward pass (used by the
-	// inference examples and some unit tests). Training graphs include
-	// forward, backward and parameter synchronization, like the paper's.
-	SkipBackward bool
-	// SkipParamSync omits gradient synchronization (ablation).
-	SkipParamSync bool
 	// StarSync replaces the ring all-reduce with a star (all replicas
 	// send to the primary, which broadcasts back) — the
 	// parameter-server-style ablation (the "ablation-sync" experiment,
@@ -527,10 +525,6 @@ func (tg *TaskGraph) buildComputeTasks(op *graph.Op) {
 		})
 	}
 	tg.fwd[op.ID] = fwd
-	if tg.Opts.SkipBackward {
-		tg.bwd[op.ID] = nil
-		return
-	}
 	bwd := make([]*Task, n)
 	for k := 0; k < n; k++ {
 		dev := tg.Topo.Device(c.Devices[k])
@@ -586,9 +580,7 @@ func (tg *TaskGraph) buildEdge(prod, cons *graph.Op) {
 			srcDev, dstDev := pt.Device, ct.Device
 			if srcDev == dstDev {
 				tg.dep(pt, ct)
-				if !tg.Opts.SkipBackward {
-					tg.dep(tg.bwd[cons.ID][ck], tg.bwd[prod.ID][pk])
-				}
+				tg.dep(tg.bwd[cons.ID][ck], tg.bwd[prod.ID][pk])
 				continue
 			}
 			bytes := vol * tensor.ElemBytes
@@ -601,32 +593,29 @@ func (tg *TaskGraph) buildEdge(prod, cons *graph.Op) {
 			})
 			tg.dep(pt, fc)
 			tg.dep(fc, ct)
-			comms = append(comms, fc)
-			if !tg.Opts.SkipBackward {
-				rpath := tg.Topo.Route(dstDev, srcDev)
-				bc := tg.newTask(&Task{
-					Kind: Comm, Op: cons, Pass: perfmodel.Backward,
-					Device: -1, Link: rpath.BottleneckLink,
-					SrcDev: dstDev, DstDev: srcDev,
-					Bytes: bytes, Exe: rpath.TransferTime(bytes),
-				})
-				tg.dep(tg.bwd[cons.ID][ck], bc)
-				tg.dep(bc, tg.bwd[prod.ID][pk])
-				comms = append(comms, bc)
-			}
+			rpath := tg.Topo.Route(dstDev, srcDev)
+			bc := tg.newTask(&Task{
+				Kind: Comm, Op: cons, Pass: perfmodel.Backward,
+				Device: -1, Link: rpath.BottleneckLink,
+				SrcDev: dstDev, DstDev: srcDev,
+				Bytes: bytes, Exe: rpath.TransferTime(bytes),
+			})
+			tg.dep(tg.bwd[cons.ID][ck], bc)
+			tg.dep(bc, tg.bwd[prod.ID][pk])
+			comms = append(comms, fc, bc)
 		}
 	}
 	tg.edgeComm[key] = comms
 }
 
 // buildSync emits the gradient-synchronization and weight-update tasks
-// of an op (skipped for weightless ops and forward-only graphs). Tasks
+// of an op (skipped for weightless ops). Tasks
 // that replicate a weight shard all-reduce their gradients over a ring
 // of the distinct devices holding replicas; every device then runs an
 // Update task for its local copy.
 func (tg *TaskGraph) buildSync(op *graph.Op) {
 	tg.extras[op.ID] = nil
-	if tg.Opts.SkipBackward || !op.HasWeights() {
+	if !op.HasWeights() {
 		return
 	}
 	c := tg.Strat.Config(op.ID)

@@ -143,20 +143,6 @@ func TestBuildParamParallelNoSync(t *testing.T) {
 	}
 }
 
-func TestForwardOnlyOption(t *testing.T) {
-	g := mlp()
-	topo := device.NewSingleNode(2, "P100")
-	tg := build(t, g, topo, config.DataParallel(g, topo), Options{SkipBackward: true})
-	for _, task := range tg.Tasks {
-		if task.Pass != perfmodel.Forward {
-			t.Fatalf("forward-only graph contains %v", task)
-		}
-	}
-	if tg.Metrics().SyncBytes != 0 {
-		t.Fatal("forward-only graph should not sync")
-	}
-}
-
 func TestStarSyncAblation(t *testing.T) {
 	g := mlp()
 	topo := device.NewSingleNode(4, "P100")
@@ -184,17 +170,6 @@ func TestStarSyncAblation(t *testing.T) {
 	}
 	if sm.ComputeTime != rm.ComputeTime {
 		t.Fatal("sync scheme must not change compute time")
-	}
-}
-
-func TestSkipParamSyncStillUpdates(t *testing.T) {
-	// SkipParamSync is exercised via Options zero value on ops without
-	// replicas; verify the flag exists and builds.
-	g := mlp()
-	topo := device.NewSingleNode(2, "P100")
-	tg := build(t, g, topo, config.DataParallel(g, topo), Options{SkipParamSync: true})
-	if tg.Alive() == 0 {
-		t.Fatal("empty task graph")
 	}
 }
 
@@ -346,7 +321,7 @@ func TestLSTMRecurrentChainDependencies(t *testing.T) {
 	l1 := g.LSTMStep("l.t1", emb, l0, 1, 32)
 	topo := device.NewSingleNode(2, "P100")
 	s := config.DataParallel(g, topo)
-	tg := build(t, g, topo, s, Options{SkipBackward: true})
+	tg := build(t, g, topo, s, Options{})
 
 	// l1 task k depends (directly, same device) on l0 task k.
 	for k, task := range tg.ForwardTasks(l1.ID) {
