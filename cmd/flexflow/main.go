@@ -212,14 +212,14 @@ func main() {
 	}
 	if *memCheck {
 		fmt.Println("\nper-device memory footprint:")
-		fp := flexflow.MemoryFootprint(g, topo, res.Best, flexflow.MemoryModel{})
+		fp := flexflow.MemoryFootprint(g, topo, res.Best)
 		for id := 0; id < topo.NumDevices(); id++ {
 			if b, ok := fp[id]; ok {
 				d := topo.Device(id)
 				fmt.Printf("  %-14s %8.2f MB (capacity %.0f GB)\n", d.Name, float64(b)/1e6, d.MemGB)
 			}
 		}
-		if err := flexflow.CheckMemory(g, topo, res.Best, flexflow.MemoryModel{}); err != nil {
+		if err := flexflow.CheckMemory(g, topo, res.Best); err != nil {
 			fmt.Printf("  WARNING: %v\n", err)
 		} else {
 			fmt.Println("  strategy fits on every device")

@@ -95,7 +95,8 @@ func resolveCostProfile() *CostProfile {
 // writeGraph folds the graph into the hash: name, then per op every
 // field the builders and the simulator consume, plus the op's
 // input-region signature over its full output (graph.InputRegionsSig —
-// the exact lengths-walk the estimator keys its measurement cache on),
+// the hash of input-region lengths the estimator keys its measurement
+// cache on),
 // so two graphs that would simulate differently can never collide on a
 // structural coincidence.
 func writeGraph(w io.Writer, g *Graph) {

@@ -183,20 +183,17 @@ func CriticalPath(g *Graph, topo *Topology, s *Strategy) time.Duration {
 	return sim.CriticalPathLowerBound(tg)
 }
 
-// MemoryModel configures memory-footprint accounting.
-type MemoryModel = memory.Model
-
-// CheckMemory verifies the strategy's per-device footprint (weights,
-// gradients, optimizer state, retained activations) fits every device's
+// CheckMemory verifies the strategy's per-device training footprint
+// (weights, gradients, retained activations) fits every device's
 // capacity. The returned error names the first overflowing device.
-func CheckMemory(g *Graph, topo *Topology, s *Strategy, m MemoryModel) error {
-	return memory.Check(g, topo, s, m)
+func CheckMemory(g *Graph, topo *Topology, s *Strategy) error {
+	return memory.Check(g, topo, s)
 }
 
-// MemoryFootprint returns per-device memory usage in bytes.
-func MemoryFootprint(g *Graph, topo *Topology, s *Strategy, m MemoryModel) map[int]int64 {
+// MemoryFootprint returns per-device training memory usage in bytes.
+func MemoryFootprint(g *Graph, topo *Topology, s *Strategy) map[int]int64 {
 	out := map[int]int64{}
-	for dev, u := range memory.Footprint(g, topo, s, m) {
+	for dev, u := range memory.Footprint(g, topo, s) {
 		out[dev] = u.Total()
 	}
 	return out

@@ -17,10 +17,10 @@ import (
 // strategy it decodes. None may panic, and an accepted input must
 // round-trip: its export imports again to the same export and the same
 // Fingerprint. An accepted graph of at most fuzzSearchOps ops must
-// also be searchable: data parallelism on 2 GPUs simulates and a few
-// MCMC proposals run without a panic. Run one with a small -parallel,
-// a memory cap and a short minimization (the zoo seeds are up to
-// 100 KB), e.g.
+// also be searchable: data parallelism on 2 GPUs simulates, and a few
+// MCMC proposals and an OptCNN search run without a panic. Run one
+// with a small -parallel, a memory cap and a short minimization (the
+// zoo seeds are up to 100 KB), e.g.
 //
 //	(ulimit -v 4000000; go test -run '^$' -fuzz FuzzImportGraph -fuzztime 60s -fuzzminimizetime 10s -parallel 2 .)
 //
@@ -130,6 +130,10 @@ func FuzzImportGraph(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	optcnn, err := GetOptimizer("optcnn")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ImportGraph(data)
 		if err != nil {
@@ -145,6 +149,9 @@ func FuzzImportGraph(f *testing.F) {
 		p := Problem{Graph: g, Topology: topo}
 		if _, err := mcmc.Optimize(context.Background(), p, OptimizeOptions{MaxIters: 8, Workers: 1}); err != nil {
 			t.Fatalf("a short search failed: %v", err)
+		}
+		if _, err := optcnn.Optimize(context.Background(), p, OptimizeOptions{MaxDegree: 2}); err != nil {
+			t.Fatalf("optcnn failed: %v", err)
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package device
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Hardware constants for the two clusters in Figure 6 of the paper.
 //
@@ -147,18 +150,9 @@ func ClusterFor(model string, numGPUs int) *Topology {
 }
 
 func deviceName(prefix string, node, idx int) string {
-	const digits = "0123456789"
 	buf := []byte(prefix + "-n")
-	buf = appendInt(buf, node)
+	buf = strconv.AppendInt(buf, int64(node), 10)
 	buf = append(buf, "-g"...)
-	buf = appendInt(buf, idx)
-	_ = digits
+	buf = strconv.AppendInt(buf, int64(idx), 10)
 	return string(buf)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
 }

@@ -23,20 +23,25 @@ import (
 // rejects an op wired with the wrong number of inputs by comparing the
 // two.
 func InputRegions(op *Op, out tensor.Region) []tensor.Region {
-	n := 1
-	switch {
-	case op.Kind == Input:
-		return nil
-	case op.Kind == Add || op.Kind == Attention || op.Kind == LSTM && len(op.Inputs) == 2:
-		n = 2
-	case op.Kind == Stack || op.Kind == Concat:
-		n = len(op.Inputs)
-	}
-	regions := make([]tensor.Region, n)
+	regions := make([]tensor.Region, numInputRegions(op))
 	for i := range regions {
 		regions[i] = InputRegion(op, out, i, nil)
 	}
 	return regions
+}
+
+// numInputRegions is the number of input regions op's kind reads: the
+// count InputRegions returns and InputRegionsSig folds.
+func numInputRegions(op *Op) int {
+	switch {
+	case op.Kind == Input:
+		return 0
+	case op.Kind == Add || op.Kind == Attention || op.Kind == LSTM && len(op.Inputs) == 2:
+		return 2
+	case op.Kind == Stack || op.Kind == Concat:
+		return len(op.Inputs)
+	}
+	return 1
 }
 
 // checkWiring rejects an op whose input count or tensor ranks are too

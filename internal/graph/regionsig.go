@@ -2,173 +2,26 @@ package graph
 
 import "flexflow/internal/tensor"
 
-// regionSig accumulates an FNV-1a hash over region interval lengths.
-// Methods take a pointer receiver on a local so the walk never
-// allocates (no closures, no region materialization).
-type regionSig uint64
-
 const (
-	sigOffset64 regionSig = 14695981039346656037
-	sigPrime64  regionSig = 1099511628211
+	sigOffset64 uint64 = 14695981039346656037
+	sigPrime64  uint64 = 1099511628211
 )
 
-// dim folds one interval length.
-func (s *regionSig) dim(n int) { *s = (*s ^ regionSig(uint64(n))) * sigPrime64 }
-
-// sep marks the end of one region, mirroring the separator byte the
-// estimator's cache key uses between input regions.
-func (s *regionSig) sep() { *s = (*s ^ 0xff) * sigPrime64 }
-
 // InputRegionsSig hashes the per-dimension lengths of InputRegions(op,
-// out) — the exact sequence the estimator cache key folds in — without
-// materializing any region. It exists because the signature sits on the
+// out) — the exact sequence the estimator cache key folds in, one
+// separator byte after each region — with FNV-1a. It sits on the
 // estimator's cache-hit path, queried once per task on every task-graph
-// build; the lengths-only walk keeps that path allocation-free.
-//
-// The walk mirrors InputRegions kind by kind and must stay in lockstep
-// with it; TestInputRegionsSigMatchesMaterialized pins the equivalence
-// for every op kind.
+// build, so it walks the regions through InputRegion into a stack
+// buffer instead of materializing them: the walk never allocates
+// (TestInputRegionsSigAllocFree).
 func InputRegionsSig(op *Op, out tensor.Region) uint64 {
+	var buf [8]tensor.Interval
 	s := sigOffset64
-	switch op.Kind {
-	case Input:
-		// No inputs, empty hash.
-	case Conv2D:
-		in := op.Inputs[0].Out
-		s.dim(out.Iv[0].Len())
-		s.dim(in.Size(1)) // full input channels (reduction)
-		s.dim(receptive(out.Iv[2], op.KernelH, op.StrideH, op.PadH, in.Size(2)).Len())
-		s.dim(receptive(out.Iv[3], op.KernelW, op.StrideW, op.PadW, in.Size(3)).Len())
-		s.sep()
-	case Pool2D:
-		in := op.Inputs[0].Out
-		s.dim(out.Iv[0].Len())
-		s.dim(out.Iv[1].Len()) // pooling is per-channel
-		s.dim(receptive(out.Iv[2], op.KernelH, op.StrideH, op.PadH, in.Size(2)).Len())
-		s.dim(receptive(out.Iv[3], op.KernelW, op.StrideW, op.PadW, in.Size(3)).Len())
-		s.sep()
-	case MatMul, Softmax:
-		in := op.Inputs[0].Out
-		s.dim(out.Iv[0].Len())
-		s.dim(in.Size(1)) // full reduction depth
-		s.sep()
-	case Embedding:
-		s.dim(out.Iv[0].Len())
-		s.dim(out.Iv[1].Len())
-		s.sep()
-	case LSTM:
-		seq := op.Inputs[0].Out
-		if seq.Rank() == 3 {
-			s.dim(out.Iv[0].Len())
-			s.dim(1) // the single step slice {Step, Step+1}
-			s.dim(seq.Size(2))
-		} else {
-			s.dim(out.Iv[0].Len())
-			s.dim(seq.Size(1))
+	for i := range numInputRegions(op) {
+		for _, iv := range InputRegion(op, out, i, buf[:0]).Iv {
+			s = (s ^ uint64(iv.Len())) * sigPrime64
 		}
-		s.sep()
-		if len(op.Inputs) == 2 {
-			prev := op.Inputs[1].Out
-			s.dim(out.Iv[0].Len())
-			s.dim(prev.Size(1)) // full previous hidden state
-			s.sep()
-		}
-	case Attention:
-		q := op.Inputs[0].Out
-		m := op.Inputs[1].Out
-		s.dim(out.Iv[0].Len())
-		s.dim(q.Size(1))
-		s.sep()
-		s.dim(out.Iv[0].Len())
-		s.dim(m.Size(1))
-		s.dim(m.Size(2))
-		s.sep()
-	case Stack:
-		for i := range op.Inputs {
-			want := out.Iv[1].Intersect(tensor.Interval{Lo: i, Hi: i + 1})
-			if want.Empty() {
-				s.dim(0)
-				s.dim(0)
-			} else {
-				s.dim(out.Iv[0].Len())
-				s.dim(out.Iv[2].Len()) // the channel slice actually requested
-			}
-			s.sep()
-		}
-	case Concat:
-		off := 0
-		d := op.ConcatDim
-		for _, in := range op.Inputs {
-			size := in.Out.Size(d)
-			seg := out.Iv[d].Intersect(tensor.Interval{Lo: off, Hi: off + size})
-			if seg.Empty() {
-				// Region is empty: every dimension collapses to {}.
-				for range out.Iv {
-					s.dim(0)
-				}
-			} else {
-				for j, iv := range out.Iv {
-					if j == d {
-						s.dim(seg.Len())
-					} else {
-						s.dim(iv.Len())
-					}
-				}
-			}
-			s.sep()
-			off += size
-		}
-	case Add:
-		for pass := 0; pass < 2; pass++ {
-			for _, iv := range out.Iv {
-				s.dim(iv.Len())
-			}
-			s.sep()
-		}
-	case Activation:
-		for _, iv := range out.Iv {
-			s.dim(iv.Len())
-		}
-		s.sep()
-	case Flatten:
-		in := op.Inputs[0].Out
-		c, h, w := in.Size(1), in.Size(2), in.Size(3)
-		feat := out.Iv[1]
-		s.dim(out.Iv[0].Len())
-		if feat.Len() == c*h*w {
-			s.dim(c)
-			s.dim(h)
-			s.dim(w)
-			s.sep()
-			break
-		}
-		// Bounding-box lengths, mirroring InputRegions' tightening.
-		cLo := feat.Lo / (h * w)
-		cHi := (feat.Hi-1)/(h*w) + 1
-		hLen, wLen := h, w
-		if cHi-cLo == 1 {
-			rem := tensor.Interval{Lo: feat.Lo - cLo*h*w, Hi: feat.Hi - cLo*h*w}
-			hLo := rem.Lo / w
-			hHi := (rem.Hi-1)/w + 1
-			hLen = hHi - hLo
-			if hHi-hLo == 1 {
-				wLen = (rem.Hi - hLo*w) - (rem.Lo - hLo*w)
-			}
-		}
-		s.dim(cHi - cLo)
-		s.dim(hLen)
-		s.dim(wLen)
-		s.sep()
-	default:
-		// Fall back to the materializing walk for kinds this function
-		// does not know (keeps the signature correct if a new op kind
-		// lands before its lengths-only case does).
-		for _, r := range InputRegions(op, out) {
-			for i := 0; i < r.Rank(); i++ {
-				s.dim(r.Iv[i].Len())
-			}
-			s.sep()
-		}
+		s = (s ^ 0xff) * sigPrime64
 	}
-	return uint64(s)
+	return s
 }

@@ -7,8 +7,8 @@ import (
 	"flexflow/internal/tensor"
 )
 
-// sigFromRegions is the reference signature: the materializing walk the
-// estimator cache key used before InputRegionsSig existed.
+// sigFromRegions is the reference signature: the same FNV-1a fold over
+// the regions InputRegions materializes.
 func sigFromRegions(op *Op, out tensor.Region) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -21,7 +21,7 @@ func sigFromRegions(op *Op, out tensor.Region) uint64 {
 	return h
 }
 
-// sigTestGraph exercises every op kind InputRegionsSig special-cases:
+// sigTestGraph exercises every op kind InputRegion infers regions for:
 // Conv2D, Pool2D, Flatten, MatMul (Dense), Softmax, Embedding, LSTM
 // (with and without a previous step), Stack, Attention, Concat, Add,
 // Activation.
@@ -67,8 +67,8 @@ func randomSubRegion(op *Op, rng *rand.Rand) tensor.Region {
 	return tensor.GridRegion(op.Out, degrees, rng.Intn(n))
 }
 
-// TestInputRegionsSigMatchesMaterialized pins the lengths-only walk to
-// the materializing reference for every op kind, over full outputs and
+// TestInputRegionsSigMatchesMaterialized pins the buffered walk to the
+// materializing reference for every op kind, over full outputs and
 // random grid-cell sub-regions.
 func TestInputRegionsSigMatchesMaterialized(t *testing.T) {
 	g := sigTestGraph()
@@ -95,8 +95,8 @@ func TestInputRegionsSigMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestInputRegionsSigAllocFree asserts the walk itself never allocates
-// (the reason it exists: it sits on the estimator's cache-hit path).
+// TestInputRegionsSigAllocFree asserts the walk itself never allocates:
+// it sits on the estimator's cache-hit path.
 func TestInputRegionsSigAllocFree(t *testing.T) {
 	g := sigTestGraph()
 	rng := rand.New(rand.NewSource(7))

@@ -10,9 +10,8 @@
 //
 //   - weights: each device stores every weight shard any of its tasks
 //     uses (deduplicated per op/shard);
-//   - gradients: one buffer the size of each stored weight shard;
-//   - optimizer state: OptimizerMult extra copies (0 for plain SGD,
-//     2 for Adam's moments);
+//   - gradients: one buffer the size of each stored weight shard (plain
+//     SGD: no optimizer state beyond the gradients);
 //   - activations: each forward task's output region, retained for the
 //     backward pass;
 //   - activation gradients: transient, bounded by the largest single
@@ -28,33 +27,23 @@ import (
 	"flexflow/internal/tensor"
 )
 
-// Model configures the footprint accounting.
-type Model struct {
-	// OptimizerMult is the number of extra weight-sized buffers the
-	// optimizer keeps (0 = SGD, 1 = momentum, 2 = Adam).
-	OptimizerMult int
-	// Inference drops gradient/optimizer/activation-retention costs.
-	Inference bool
-}
-
 // Usage is the footprint of one device in bytes.
 type Usage struct {
 	Weights     int64
 	Gradients   int64
-	Optimizer   int64
 	Activations int64
 	Transient   int64
 }
 
 // Total returns the combined footprint.
 func (u Usage) Total() int64 {
-	return u.Weights + u.Gradients + u.Optimizer + u.Activations + u.Transient
+	return u.Weights + u.Gradients + u.Activations + u.Transient
 }
 
 // Footprint computes the per-device memory usage of a strategy. The
 // returned map is keyed by device ID and covers every device that runs
 // at least one task.
-func Footprint(g *graph.Graph, topo *device.Topology, s *config.Strategy, m Model) map[int]*Usage {
+func Footprint(g *graph.Graph, topo *device.Topology, s *config.Strategy) map[int]*Usage {
 	out := map[int]*Usage{}
 	get := func(dev int) *Usage {
 		u := out[dev]
@@ -91,10 +80,7 @@ func Footprint(g *graph.Graph, topo *device.Topology, s *config.Strategy, m Mode
 				seen[kk] = true
 				u := get(c.Devices[k])
 				u.Weights += shardBytes
-				if !m.Inference {
-					u.Gradients += shardBytes
-					u.Optimizer += shardBytes * int64(m.OptimizerMult)
-				}
+				u.Gradients += shardBytes
 			}
 		}
 		// Activations: each task's output region lives on its device
@@ -103,12 +89,6 @@ func Footprint(g *graph.Graph, topo *device.Topology, s *config.Strategy, m Mode
 			region := tensor.GridRegion(op.Out, c.Degrees, k)
 			u := get(c.Devices[k])
 			bytes := region.Bytes()
-			if m.Inference {
-				if bytes > u.Transient {
-					u.Transient = bytes
-				}
-				continue
-			}
 			u.Activations += bytes
 			if bytes > u.Transient {
 				u.Transient = bytes
@@ -134,8 +114,8 @@ func (v Violation) Error() string {
 // Check returns a Violation error for the first device whose strategy
 // footprint exceeds its capacity (devices with MemGB == 0 are
 // unconstrained), or nil if the strategy fits everywhere.
-func Check(g *graph.Graph, topo *device.Topology, s *config.Strategy, m Model) error {
-	usage := Footprint(g, topo, s, m)
+func Check(g *graph.Graph, topo *device.Topology, s *config.Strategy) error {
+	usage := Footprint(g, topo, s)
 	// Deterministic iteration order for stable error messages.
 	for id := 0; id < topo.NumDevices(); id++ {
 		u := usage[id]
@@ -152,9 +132,4 @@ func Check(g *graph.Graph, topo *device.Topology, s *config.Strategy, m Model) e
 		}
 	}
 	return nil
-}
-
-// Fits reports whether the strategy fits on every device.
-func Fits(g *graph.Graph, topo *device.Topology, s *config.Strategy, m Model) bool {
-	return Check(g, topo, s, m) == nil
 }

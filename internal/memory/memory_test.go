@@ -23,7 +23,7 @@ func TestFootprintDataParallelReplicatesWeights(t *testing.T) {
 	g := bigDense()
 	topo := device.NewSingleNode(4, "P100")
 	s := config.DataParallel(g, topo)
-	usage := Footprint(g, topo, s, Model{})
+	usage := Footprint(g, topo, s)
 	fc := g.Op(1)
 	weightBytes := fc.WeightElems * tensor.ElemBytes
 	for _, id := range topo.GPUs() {
@@ -50,7 +50,7 @@ func TestFootprintParamParallelShardsWeights(t *testing.T) {
 	s := config.NewStrategy(g)
 	fc := g.Op(1)
 	s.Set(fc.ID, config.ParamParallel(fc, topo.GPUs()))
-	usage := Footprint(g, topo, s, Model{})
+	usage := Footprint(g, topo, s)
 	weightBytes := fc.WeightElems * tensor.ElemBytes
 	var total int64
 	for _, u := range usage {
@@ -62,37 +62,8 @@ func TestFootprintParamParallelShardsWeights(t *testing.T) {
 	}
 }
 
-func TestOptimizerMultiplier(t *testing.T) {
-	g := bigDense()
-	topo := device.NewSingleNode(2, "P100")
-	s := config.DataParallel(g, topo)
-	sgd := Footprint(g, topo, s, Model{OptimizerMult: 0})
-	adam := Footprint(g, topo, s, Model{OptimizerMult: 2})
-	id := topo.GPUs()[0]
-	if adam[id].Optimizer != 2*sgd[id].Weights {
-		t.Fatalf("adam optimizer state = %d, want %d", adam[id].Optimizer, 2*sgd[id].Weights)
-	}
-	if sgd[id].Optimizer != 0 {
-		t.Fatalf("sgd optimizer state = %d", sgd[id].Optimizer)
-	}
-}
-
-func TestInferenceModeDropsTrainingState(t *testing.T) {
-	g := bigDense()
-	topo := device.NewSingleNode(2, "P100")
-	s := config.DataParallel(g, topo)
-	inf := Footprint(g, topo, s, Model{Inference: true})
-	id := topo.GPUs()[0]
-	if inf[id].Gradients != 0 || inf[id].Activations != 0 {
-		t.Fatalf("inference kept training state: %+v", inf[id])
-	}
-	if inf[id].Weights == 0 || inf[id].Transient == 0 {
-		t.Fatalf("inference lost weights/workspace: %+v", inf[id])
-	}
-}
-
 func TestCheckDetectsOverflow(t *testing.T) {
-	// Replicate ~2.1 GB of weights (+ gradients + Adam state) on a 3 GB
+	// Replicate ~2.1 GB of weights plus ~2.1 GB of gradients on a 3 GB
 	// device: must violate.
 	g := bigDense()
 	topo := device.NewTopology("tiny-mem")
@@ -101,7 +72,7 @@ func TestCheckDetectsOverflow(t *testing.T) {
 	topo.AddLink(device.NVLink, a, b, 18, 0)
 
 	s := config.DataParallel(g, topo)
-	err := Check(g, topo, s, Model{OptimizerMult: 2})
+	err := Check(g, topo, s)
 	if err == nil {
 		t.Fatal("oversized strategy passed the memory check")
 	}
@@ -115,16 +86,13 @@ func TestCheckDetectsOverflow(t *testing.T) {
 	if v.Error() == "" {
 		t.Fatal("empty violation message")
 	}
-	if Fits(g, topo, s, Model{OptimizerMult: 2}) {
-		t.Fatal("Fits disagrees with Check")
-	}
 
 	// Sharding the dense layer across both devices fits under plain SGD
 	// (~1.07 GB weights + 1.07 GB gradients per device).
 	sharded := config.NewStrategy(g)
 	fc := g.Op(1)
 	sharded.Set(fc.ID, config.ParamParallel(fc, topo.GPUs()))
-	if err := Check(g, topo, sharded, Model{}); err != nil {
+	if err := Check(g, topo, sharded); err != nil {
 		t.Fatalf("sharded strategy should fit: %v", err)
 	}
 }
@@ -136,7 +104,7 @@ func TestUnconstrainedDevices(t *testing.T) {
 	b := topo.AddDevice(device.Device{Kind: device.GPU, Name: "g1", Model: "X"})
 	topo.AddLink(device.NVLink, a, b, 18, 0)
 	s := config.DataParallel(g, topo)
-	if err := Check(g, topo, s, Model{OptimizerMult: 2}); err != nil {
+	if err := Check(g, topo, s); err != nil {
 		t.Fatalf("unconstrained devices should always fit: %v", err)
 	}
 }
@@ -148,7 +116,7 @@ func TestPaperModelsFitTheirClusters(t *testing.T) {
 	for _, name := range []string{"alexnet", "inception-v3", "rnnlm"} {
 		g := buildModel(t, name)
 		s := config.DataParallel(g, topo)
-		if err := Check(g, topo, s, Model{}); err != nil {
+		if err := Check(g, topo, s); err != nil {
 			t.Fatalf("%s does not fit a P100 under data parallelism: %v", name, err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestWeightStorageBoundsProperty(t *testing.T) {
 		topo := device.NewSingleNode(4, "P100")
 		rng := rand.New(rand.NewSource(seed))
 		s := config.Random(g, topo, rng)
-		usage := Footprint(g, topo, s, Model{})
+		usage := Footprint(g, topo, s)
 		var stored int64
 		for _, u := range usage {
 			stored += u.Weights

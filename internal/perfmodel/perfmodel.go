@@ -11,7 +11,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -173,10 +172,10 @@ func keyFor(op *graph.Op, out tensor.Region, dev device.Device, pass Pass) cache
 	}
 	if pass != Update {
 		// Update cost depends only on the output (weight-shard) volume.
-		// The lengths-only walk hashes the same sequence a materialized
-		// graph.InputRegions call would, without allocating — this is
-		// the estimator's cache-hit path, queried once per task on
-		// every task-graph build (TestExecTimeCacheHitAllocFree).
+		// InputRegionsSig hashes the lengths of graph.InputRegions'
+		// regions without materializing them — this is the estimator's
+		// cache-hit path, queried once per task on every task-graph
+		// build (TestExecTimeCacheHitAllocFree).
 		k.inputs = graph.InputRegionsSig(op, out)
 	}
 	return k
@@ -254,18 +253,4 @@ func (e *MeasuringEstimator) DistinctSignatures() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.cache)
-}
-
-// SignatureSummary returns a sorted human-readable listing of the cache,
-// used by cmd/experiments to show what would be profiled on hardware.
-func (e *MeasuringEstimator) SignatureSummary() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.cache))
-	for k, v := range e.cache {
-		out = append(out, fmt.Sprintf("%v/%v %s sizes=%v cin=%d k=%dx%d: %v",
-			k.kind, k.pass, k.model, k.sizes, k.inChannels, k.kernelH, k.kernelW, v))
-	}
-	sort.Strings(out)
-	return out
 }

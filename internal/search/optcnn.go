@@ -124,6 +124,10 @@ func edgeCost(prod *graph.Op, pc *config.Config, cons *graph.Op, cc *config.Conf
 
 func optCNNChainDP(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, enum config.EnumOptions) (*config.Strategy, error) {
 	ops := g.ComputeOps()
+	if len(ops) == 0 {
+		// Nothing to configure: the empty strategy, as Exhaustive returns.
+		return config.NewStrategy(g), nil
+	}
 	cands := make([][]*config.Config, len(ops))
 	for i, op := range ops {
 		cands[i] = config.Enumerate(op, topo, enum)

@@ -76,6 +76,30 @@ func TestOptimizerRegistry(t *testing.T) {
 	}
 }
 
+// TestOptimizersOnInputsOnlyGraph pins the degenerate search space: a
+// graph with no compute op has one (empty) strategy, and every
+// registered optimizer must return it rather than panic.
+func TestOptimizersOnInputsOnlyGraph(t *testing.T) {
+	g := NewGraph("inputs-only")
+	g.Input4D("x", 8, 2, 8, 8)
+	p := Problem{Graph: g, Topology: NewSingleNode(2, "P100")}
+	for _, name := range Optimizers() {
+		t.Run(name, func(t *testing.T) {
+			opt, err := GetOptimizer(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := opt.Optimize(context.Background(), p, OptimizeOptions{MaxIters: 8, Seed: 1})
+			if err != nil {
+				t.Fatalf("Optimize: %v", err)
+			}
+			if res.Best == nil {
+				t.Fatalf("no strategy: %+v", res)
+			}
+		})
+	}
+}
+
 func TestGetOptimizerUnknown(t *testing.T) {
 	if _, err := GetOptimizer("simulated-annealing"); err == nil {
 		t.Fatal("unknown optimizer did not error")
